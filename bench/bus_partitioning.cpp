@@ -30,7 +30,7 @@ stats::SwitchingStats make_bus_stats(double rho) {
   std::mt19937_64 rng(7);
   std::shuffle(scramble.begin(), scramble.end(), rng);
 
-  stats::StatsAccumulator acc(32);
+  stats::BitplaneAccumulator acc(32);
   for (int t = 0; t < 60000; ++t) {
     const std::uint64_t w = a.next() | (b.next() << 16);
     std::uint64_t bus = 0;

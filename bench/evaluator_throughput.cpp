@@ -31,7 +31,7 @@ namespace {
 
 stats::SwitchingStats make_stats(std::size_t width) {
   streams::SequentialStream src(width, 0.05, 3);
-  stats::StatsAccumulator acc(width);
+  stats::BitplaneAccumulator acc(width);
   for (int i = 0; i < 20000; ++i) acc.add(src.next());
   return acc.finish();
 }

@@ -319,7 +319,7 @@ std::string describe_eval_case(const EvalCase& ec) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 3: StatsAccumulator vs a naive O(N * w^2) reference.
+// Oracle 3: BitplaneAccumulator vs a naive O(N * w^2) reference.
 // ---------------------------------------------------------------------------
 
 struct StatsCase {
@@ -370,7 +370,7 @@ std::optional<std::string> stats_bitwise_diff(const stats::SwitchingStats& a,
 std::optional<std::string> check_stats_case(const StatsCase& sc) {
   const std::size_t w = sc.width;
   // Naive reference: recompute every statistic from scratch per transition,
-  // O(N * w^2), with the exact divisions of StatsAccumulator::finish() — the
+  // O(N * w^2), with the exact divisions of BitplaneAccumulator::finish() — the
   // counts are small integers held in doubles, so both paths are exact and
   // the comparison is bitwise.
   std::vector<double> ones(w, 0.0), self(w, 0.0);
@@ -393,7 +393,7 @@ std::optional<std::string> check_stats_case(const StatsCase& sc) {
   const double nt = static_cast<double>(sc.words.size() - 1);
   const double nw = static_cast<double>(sc.words.size());
 
-  stats::StatsAccumulator acc(w);
+  stats::BitplaneAccumulator acc(w);
   for (const auto word : sc.words) acc.add(word);
   if (acc.samples() != sc.words.size()) return "samples() disagrees with word count";
   const stats::SwitchingStats got = acc.finish();

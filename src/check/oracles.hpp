@@ -12,7 +12,7 @@
 //   evaluator_drift   incremental PowerEvaluator move chains vs the dense
 //                     O(N^2) assignment_power(), drift bounded at the scale of
 //                     float epsilon times the absolute term mass.
-//   stats_reference   bit-plane StatsAccumulator vs a naive O(N * w^2)
+//   stats_reference   BitplaneAccumulator vs a naive O(N * w^2)
 //                     recomputation (exact: both sums are integer-valued),
 //                     plus chunked parallel compute_stats at several thread
 //                     counts (bitwise identical, block tails included).

@@ -22,12 +22,13 @@
 // document is bit-identical across thread counts.
 //
 // Enablement: `TSVCOD_TRACE=<file>` / `TSVCOD_METRICS=<file>` environment
-// variables (picked up by `init_from_env`, which the CLI calls) or the CLI's
-// `--trace-out` / `--metrics-out` flags; programs can also toggle directly
-// via `enable_tracing` / `enable_metrics`.
+// variables (picked up by `init_from_env`) or the tools' `--trace-out` /
+// `--metrics-out` flags, both wired by `SinkGuard`; programs can also toggle
+// directly via `enable_tracing` / `enable_metrics`.
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -85,6 +86,38 @@ std::string profile_path();
 /// false from error paths (the CLI's RAII flusher does) so partial outputs
 /// are still usable but flagged.
 bool flush_outputs(bool clean_exit = true);
+
+/// Sink settings from a tool's command line (std::nullopt = flag not
+/// given); each given value overrides the matching TSVCOD_* variable.
+struct SinkFlags {
+  std::optional<std::string> trace;              ///< --trace-out
+  std::optional<std::string> metrics;            ///< --metrics-out
+  std::optional<std::string> profile;            ///< --profile-out
+  std::optional<std::string> snapshot;           ///< --snapshot-out
+  std::optional<std::string> snapshot_interval;  ///< --snapshot-interval, seconds
+};
+
+/// RAII owner of a tool run's sinks. The constructor validates every flag,
+/// then applies the environment (`init_from_env`) and the flag overrides and
+/// starts the snapshot exporter; a rejected value leaves nothing running.
+/// `finish()` is the clean exit: it stops the exporter and flushes with
+/// `clean_exit=true`, returning whether anything was written. If the guard
+/// is destroyed without `finish()` (an exception unwinding), it flushes
+/// with `clean_exit=false`, reporting a sink error on stderr rather than
+/// letting it replace the one in flight. The guard never writes to stdout:
+/// tsvcod_serve's stdout is its JSON reply stream.
+class SinkGuard {
+ public:
+  explicit SinkGuard(const SinkFlags& flags);
+  ~SinkGuard();
+  SinkGuard(const SinkGuard&) = delete;
+  SinkGuard& operator=(const SinkGuard&) = delete;
+
+  bool finish();
+
+ private:
+  bool armed_ = true;
+};
 
 // ---------------------------------------------------------------------------
 // Cross-thread logical parenting for the span-tree profiler

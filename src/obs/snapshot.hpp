@@ -18,6 +18,15 @@ struct SnapshotOptions {
   int keep = 3;  // rotated copies beyond the live file; 0 = overwrite in place
 };
 
+/// Parse a snapshot interval typed in seconds for the knob named `knob`
+/// (the --snapshot-interval flag or the TSVCOD_SNAPSHOT_INTERVAL variable).
+/// The whole token must be a finite number from 1 ms up to half the steady
+/// clock's range (so the exporter's wait deadline cannot overflow); the
+/// result is truncated to whole milliseconds. Anything else throws
+/// std::runtime_error naming the knob and quoting the value.
+std::chrono::milliseconds parse_snapshot_interval(const std::string& text,
+                                                  const std::string& knob);
+
 /// Start (or restart with new settings) the background exporter; enables the
 /// metrics layer implicitly since a snapshot of nothing is useless. Throws
 /// std::invalid_argument on a non-positive interval, naming the

@@ -3,11 +3,9 @@
 #include <algorithm>
 
 #include "obs/profile.hpp"
-#include "obs/snapshot.hpp"
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -129,34 +127,6 @@ void enable_tracing(bool on) {
 }
 
 void enable_metrics(bool on) { detail::g_metrics_enabled.store(on, std::memory_order_relaxed); }
-
-void init_from_env() {
-  const char* t = std::getenv("TSVCOD_TRACE");
-  if (t && *t) set_trace_path(t);
-  const char* m = std::getenv("TSVCOD_METRICS");
-  if (m && *m) set_metrics_path(m);
-  const char* p = std::getenv("TSVCOD_PROFILE");
-  if (p && *p) set_profile_path(p);
-  const char* s = std::getenv("TSVCOD_SNAPSHOT");
-  if (s && *s) {
-    SnapshotOptions opts;
-    if (const char* iv = std::getenv("TSVCOD_SNAPSHOT_INTERVAL"); iv && *iv) {
-      // A malformed or non-positive interval used to be silently ignored
-      // (falling back to the default), which hides typos; fail fast naming
-      // the variable and its value instead.
-      char* end = nullptr;
-      const double seconds = std::strtod(iv, &end);
-      if (!end || *end != '\0' || !(seconds > 0.0)) {
-        throw std::runtime_error(std::string("TSVCOD_SNAPSHOT_INTERVAL='") + iv +
-                                 "' is not a positive number of seconds");
-      }
-      opts.interval = std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
-      if (opts.interval.count() <= 0) opts.interval = std::chrono::milliseconds(1);
-    }
-    enable_metrics(true);
-    start_snapshots(s, opts);
-  }
-}
 
 void set_trace_path(std::string path) {
   {

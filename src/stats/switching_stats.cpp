@@ -20,8 +20,6 @@ phys::Matrix SwitchingStats::t_matrix() const {
   return t;
 }
 
-StatsAccumulator::StatsAccumulator(std::size_t width) : kernel_(width) {}
-
 SwitchingStats compute_stats(std::span<const std::uint64_t> words, std::size_t width,
                              int threads) {
   return compute_counts(words, width, threads).finalize();

@@ -181,7 +181,7 @@ TEST(Bitplane, BlockAndTailAccountingMatchesTheStreamLength) {
 TEST(Bitplane, StreamingEqualsOneShot) {
   std::mt19937_64 rng(19);
   const auto words = make_trace(rng, 33, 500, 2);
-  stats::StatsAccumulator acc(33);
+  stats::BitplaneAccumulator acc(33);
   for (const auto w : words) acc.add(w);
   expect_bitwise_equal(acc.finish(), stats::compute_stats(words, 33, 1));
 }
@@ -191,7 +191,7 @@ TEST(Bitplane, FinishMidStreamDoesNotPerturbTheStream) {
   // not change what a later finish() returns.
   std::mt19937_64 rng(23);
   const auto words = make_trace(rng, 12, 150, 1);
-  stats::StatsAccumulator probed(12), plain(12);
+  stats::BitplaneAccumulator probed(12), plain(12);
   for (std::size_t t = 0; t < words.size(); ++t) {
     probed.add(words[t]);
     plain.add(words[t]);
@@ -236,7 +236,7 @@ TEST(Bitplane, PrimeRejectsAStartedStream) {
 }
 
 TEST(Bitplane, TooFewWordsErrorNamesWidthAndCount) {
-  stats::StatsAccumulator acc(7);
+  stats::BitplaneAccumulator acc(7);
   acc.add(1);
   try {
     (void)acc.finish();

@@ -17,7 +17,7 @@ stats::SwitchingStats interleaved_two_channel_stats() {
   // bit-interleaved: channel A on even bus bits, channel B on odd bus bits.
   streams::GaussianAr1Stream a(8, 12.0, 0.0, 1);
   streams::GaussianAr1Stream b(8, 12.0, 0.0, 2);
-  stats::StatsAccumulator acc(16);
+  stats::BitplaneAccumulator acc(16);
   for (int t = 0; t < 60000; ++t) {
     const std::uint64_t wa = a.next();
     const std::uint64_t wb = b.next();
@@ -33,7 +33,7 @@ stats::SwitchingStats interleaved_two_channel_stats() {
 
 TEST(SubsetStats, ExtractsSelectedBits) {
   streams::SequentialStream src(8, 0.1, 3);
-  stats::StatsAccumulator acc(8);
+  stats::BitplaneAccumulator acc(8);
   for (int i = 0; i < 10000; ++i) acc.add(src.next());
   const auto full = acc.finish();
 
@@ -49,7 +49,7 @@ TEST(SubsetStats, ExtractsSelectedBits) {
 
 TEST(SubsetStats, Validation) {
   streams::UniformRandomStream src(4, 1);
-  stats::StatsAccumulator acc(4);
+  stats::BitplaneAccumulator acc(4);
   for (int i = 0; i < 100; ++i) acc.add(src.next());
   const auto full = acc.finish();
   EXPECT_THROW(stats::subset_stats(full, std::vector<std::size_t>{}), std::invalid_argument);

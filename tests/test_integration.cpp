@@ -71,7 +71,7 @@ TEST(DbtVsMeasured, Ar1StreamMatchesTheory) {
   const auto theory = stats::dbt_stats(p);
 
   streams::GaussianAr1Stream src(16, p.sigma, p.rho, 31);
-  stats::StatsAccumulator acc(16);
+  stats::BitplaneAccumulator acc(16);
   for (int i = 0; i < 200000; ++i) acc.add(src.next());
   const auto measured = acc.finish();
 
@@ -96,7 +96,7 @@ TEST(DbtVsMeasured, TheoryDrivenSawtoothIsCompetitive) {
 
   streams::GaussianAr1Stream src(16, 800.0, 0.0, 9);
   const auto measured = [&] {
-    stats::StatsAccumulator acc(16);
+    stats::BitplaneAccumulator acc(16);
     for (int i = 0; i < 100000; ++i) acc.add(src.next());
     return acc.finish();
   }();
@@ -202,7 +202,7 @@ TEST(Pipeline, CodecMaskStatsMatchAssignmentTransform) {
   const std::uint64_t mask = 0xC0;
   coding::GrayCodec enc_mask(8, mask);
 
-  stats::StatsAccumulator acc_plain(8), acc_mask(8);
+  stats::BitplaneAccumulator acc_plain(8), acc_mask(8);
   for (int i = 0; i < 30000; ++i) {
     const auto x = src.next();
     acc_plain.add(enc_plain.encode(x));

@@ -356,7 +356,8 @@ TEST_F(ProfileTest, SnapshotIntervalMustBePositiveNamingTheKnob) {
 TEST_F(ProfileTest, InitFromEnvRejectsMalformedSnapshotInterval) {
   const std::string path = "/tmp/tsvcod_test_snapshot_env.json";
   setenv("TSVCOD_SNAPSHOT", path.c_str(), 1);
-  for (const char* bad : {"0", "-2", "fast", "1.5x", ""}) {
+  for (const char* bad :
+       {"0", "-2", "fast", "1.5x", "2s", " 1", "inf", "-inf", "nan", "1e300", "0.0001", ""}) {
     setenv("TSVCOD_SNAPSHOT_INTERVAL", bad, 1);
     if (*bad == '\0') {
       // Empty means unset: the default interval applies and startup succeeds.
@@ -380,11 +381,68 @@ TEST_F(ProfileTest, InitFromEnvRejectsMalformedSnapshotInterval) {
   std::remove(path.c_str());
 }
 
+TEST_F(ProfileTest, SnapshotIntervalParserTruncatesToWholeMilliseconds) {
+  using std::chrono::milliseconds;
+  EXPECT_EQ(obs::parse_snapshot_interval("2.5", "--snapshot-interval"), milliseconds(2500));
+  EXPECT_EQ(obs::parse_snapshot_interval("0.001", "--snapshot-interval"), milliseconds(1));
+  EXPECT_EQ(obs::parse_snapshot_interval("0.0019", "--snapshot-interval"), milliseconds(1));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+TEST_F(ProfileTest, SinkGuardFlushesOnEveryExitPathAndNeverPrints) {
+  const std::string path = "/tmp/tsvcod_test_sink_guard.json";
+  std::remove(path.c_str());
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(obs::SinkGuard(obs::SinkFlags{}).finish()) << "no sinks, nothing written";
+
+  obs::SinkFlags flags;
+  flags.metrics = path;
+  try {
+    obs::SinkGuard sinks(flags);
+    obs::metric_add("guard.test.counter");
+    throw std::runtime_error("failing run");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_NE(read_file(path).find("\"clean_exit\":false"), std::string::npos);
+
+  obs::SinkGuard sinks(flags);
+  EXPECT_TRUE(sinks.finish());
+  EXPECT_NE(read_file(path).find("\"clean_exit\":true"), std::string::npos);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "")
+      << "stdout carries tsvcod_serve's reply stream";
+  obs::set_metrics_path("");
+  std::remove(path.c_str());
+}
+
+TEST_F(ProfileTest, SinkGuardRejectsBadSnapshotFlagsBeforeStartingAnything) {
+  obs::SinkFlags flags;
+  flags.snapshot = "/tmp/tsvcod_test_sink_guard_snapshot.json";
+  flags.snapshot_interval = "nan";
+  EXPECT_THROW(obs::SinkGuard{flags}, std::runtime_error);
+  EXPECT_FALSE(obs::snapshots_running());
+
+  flags.snapshot.reset();
+  flags.snapshot_interval = "1";
+  try {
+    obs::SinkGuard sinks(flags);
+    FAIL() << "--snapshot-interval without a snapshot path must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--snapshot-out"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(obs::snapshots_running());
+}
+
 TEST_F(ProfileTest, StopRacingPeriodicWritesAlwaysLeavesFinalTrue) {
   // stop_snapshots() joins the worker before writing the closing document,
   // so even when stop lands mid-periodic-write the last document on disk is
   // the final one. Run several short rounds with a 1 ms interval and a
-  // stopper thread racing the worker; under the tsan-profile preset this
+  // stopper thread racing the worker; under the tsan preset this
   // also proves the lifecycle handshake is data-race-free.
   const std::string path = "/tmp/tsvcod_test_snapshot_race.json";
   for (int round = 0; round < 8; ++round) {

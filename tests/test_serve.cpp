@@ -1,7 +1,7 @@
 // Streaming service layer: frame protocol, per-session seam-chained
 // statistics, sharded ingestion with backpressure, and the drift-triggered
-// re-anneal + atomic hot-swap path. The concurrency tests here are the ones
-// the asan-serve / tsan-serve presets exist for.
+// re-anneal + atomic hot-swap path. The concurrency tests here are the main
+// reason the suite also runs under the asan and tsan presets.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -77,7 +77,7 @@ class LevelSweep : public ::testing::TestWithParam<Level> {
 
 stats::SwitchingStats make_stats(std::size_t width, std::uint64_t seed) {
   streams::SequentialStream src(width, 0.1, seed);
-  stats::StatsAccumulator acc(width);
+  stats::BitplaneAccumulator acc(width);
   for (int i = 0; i < 20000; ++i) acc.add(src.next());
   return acc.finish();
 }

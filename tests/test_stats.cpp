@@ -14,7 +14,7 @@ namespace {
 
 using namespace tsvcod;
 using stats::compute_stats;
-using stats::StatsAccumulator;
+using stats::BitplaneAccumulator;
 
 TEST(Stats, ConstantStream) {
   const std::vector<std::uint64_t> words(10, 0b101);
@@ -78,9 +78,9 @@ TEST(Stats, EpsIsShiftedProbability) {
 }
 
 TEST(Stats, AccumulatorGuards) {
-  EXPECT_THROW(StatsAccumulator(0), std::invalid_argument);
-  EXPECT_THROW(StatsAccumulator(65), std::invalid_argument);
-  StatsAccumulator acc(4);
+  EXPECT_THROW(BitplaneAccumulator(0), std::invalid_argument);
+  EXPECT_THROW(BitplaneAccumulator(65), std::invalid_argument);
+  BitplaneAccumulator acc(4);
   acc.add(1);
   EXPECT_THROW(acc.finish(), std::logic_error);
   acc.add(2);

@@ -21,16 +21,14 @@
 //   tsvcod_cli convert --trace bus.txt --width 16 --out bus.tsvb
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "coding/factory.hpp"
 #include "core/assignment_io.hpp"
 #include "core/link.hpp"
@@ -51,147 +49,10 @@ using namespace tsvcod;
 
 namespace {
 
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) throw std::runtime_error("expected --flag, got: " + key);
-      key = key.substr(2);
-      if (key == "verbose") {  // boolean flag, takes no value
-        values_[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) throw std::runtime_error("missing value for --" + key);
-      values_[key] = argv[++i];
-    }
-  }
-
-  bool has(const std::string& k) const { return values_.count(k) > 0; }
-
-  std::string str(const std::string& k) const {
-    const auto it = values_.find(k);
-    if (it == values_.end()) throw std::runtime_error("missing required --" + k);
-    return it->second;
-  }
-  std::string str_or(const std::string& k, const std::string& def) const {
-    return has(k) ? values_.at(k) : def;
-  }
-  double number(const std::string& k) const { return std::stod(str(k)); }
-  double number_or(const std::string& k, double def) const {
-    return has(k) ? std::stod(values_.at(k)) : def;
-  }
-  std::size_t size(const std::string& k) const { return parse_size(k, str(k)); }
-  std::size_t size_or(const std::string& k, std::size_t def) const {
-    return has(k) ? parse_size(k, values_.at(k)) : def;
-  }
-
-  /// Comma-separated list of bit indices.
-  std::vector<std::size_t> index_list_or(const std::string& k) const {
-    std::vector<std::size_t> out;
-    if (!has(k)) return out;
-    std::istringstream ss(values_.at(k));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) out.push_back(std::stoull(tok));
-    return out;
-  }
-
- private:
-  /// std::stoull silently accepts a sign ("-2" wraps to 2^64-2) and ignores
-  /// trailing junk; count-valued flags are bare non-negative integers, so
-  /// anything else is rejected with an error naming the flag.
-  static std::size_t parse_size(const std::string& k, const std::string& v) {
-    bool ok = !v.empty() && v[0] != '-' && v[0] != '+';
-    std::uint64_t out = 0;
-    if (ok) {
-      try {
-        std::size_t used = 0;
-        out = std::stoull(v, &used, 10);
-        ok = used == v.size();
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error("--" + k + " expects a non-negative integer, got: '" + v + "'");
-    }
-    return out;
-  }
-
-  std::map<std::string, std::string> values_;
-};
-
-/// RAII guarantee that configured observability sinks are written on *every*
-/// exit path. The success path calls `finish()` (clean_exit=true + progress
-/// messages); if an exception or early error unwinds past it, the destructor
-/// still flushes whatever was recorded, marked `"clean_exit":false`, so a
-/// failed run leaves a usable partial trace/metrics/profile behind.
-class ObsFlusher {
- public:
-  ObsFlusher() = default;
-  ObsFlusher(const ObsFlusher&) = delete;
-  ObsFlusher& operator=(const ObsFlusher&) = delete;
-
-  ~ObsFlusher() {
-    if (!armed_) return;
-    try {
-      obs::stop_snapshots();
-      obs::flush_outputs(/*clean_exit=*/false);
-    } catch (...) {
-      // Last-resort telemetry: an unwritable sink must not mask the error
-      // that is already unwinding.
-    }
-  }
-
-  void finish() {
-    armed_ = false;
-    obs::stop_snapshots();
-    if (obs::flush_outputs(/*clean_exit=*/true)) {
-      if (!obs::trace_path().empty()) {
-        std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
-                    obs::trace_path().c_str());
-      }
-      if (!obs::metrics_path().empty()) {
-        std::printf("metrics written to %s\n", obs::metrics_path().c_str());
-      }
-      if (!obs::profile_path().empty()) {
-        std::printf("profile written to %s (+ %s.folded for flamegraph tools)\n",
-                    obs::profile_path().c_str(), obs::profile_path().c_str());
-      }
-    }
-  }
-
- private:
-  bool armed_ = true;
-};
-
-/// Resolve --threads. Explicit N > 0 is used as-is; an explicit 0 means all
-/// hardware threads (the same meaning TSVCOD_THREADS=0 has); an absent flag
-/// defers to the TSVCOD_THREADS convention (env value, else serial).
-/// Negative or non-numeric values were already rejected by Args::size.
-int threads_from(const Args& args) {
-  if (!args.has("threads")) return 0;
-  const std::size_t n = args.size("threads");
-  if (n == 0) return opt::hardware_threads();
-  if (n > 65536) throw std::runtime_error("--threads value is absurdly large: " + std::to_string(n));
-  return static_cast<int>(n);
-}
-
-phys::TsvArrayGeometry geometry_from(const Args& args) {
-  phys::TsvArrayGeometry g;
-  g.rows = args.size("rows");
-  g.cols = args.size("cols");
-  g.radius = args.number_or("radius-um", 1.0) * 1e-6;
-  g.pitch = args.number_or("pitch-um", 4.0) * 1e-6;
-  g.length = args.number_or("length-um", 50.0) * 1e-6;
-  g.validate();
-  return g;
-}
-
-tsv::LinearCapacitanceModel model_from(const Args& args) {
-  if (args.has("model")) return tsv::load_linear_model(args.str("model"));
-  return tsv::fit_from_analytic(geometry_from(args));
-}
+using tools::Args;
+using tools::geometry_from;
+using tools::model_from;
+using tools::threads_from;
 
 /// --codec and its sub-flags, when given. Width validation happens inside the
 /// factory, so a payload too wide for the named codec fails with a message
@@ -489,6 +350,10 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     const Args args(argc, argv, 2);
+    if (args.help()) {
+      usage();
+      return 0;
+    }
     // Fail fast on a malformed TSVCOD_THREADS (clear error up front instead
     // of a surprise at the first parallel section).
     (void)opt::default_threads();
@@ -497,26 +362,10 @@ int main(int argc, char** argv) {
     // fails fast on a malformed env value too.
     if (args.has("simd")) simd::force_level(simd::parse_level(args.str("simd")));
     (void)simd::active_level();
-    // Observability: env first, explicit flags override.
-    obs::init_from_env();
-    if (args.has("trace-out")) obs::set_trace_path(args.str("trace-out"));
-    if (args.has("metrics-out")) obs::set_metrics_path(args.str("metrics-out"));
-    if (args.has("profile-out")) obs::set_profile_path(args.str("profile-out"));
-    if (args.has("snapshot-out")) {
-      obs::SnapshotOptions snap;
-      const double seconds = args.number_or("snapshot-interval", 1.0);
-      if (seconds <= 0.0) {
-        throw std::runtime_error("--snapshot-interval (or TSVCOD_SNAPSHOT_INTERVAL) must be > 0 "
-                                 "seconds, got " + args.str("snapshot-interval"));
-      }
-      snap.interval = std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
-      obs::start_snapshots(args.str("snapshot-out"), snap);
-    } else if (args.has("snapshot-interval")) {
-      throw std::runtime_error("--snapshot-interval needs --snapshot-out (or TSVCOD_SNAPSHOT)");
-    }
-    // From here on, every exit path — including thrown errors — flushes the
-    // configured sinks; the success path calls finish() for a clean flush.
-    ObsFlusher flusher;
+    // Observability: env first, explicit flags override. From here on,
+    // every exit path — including thrown errors — flushes the configured
+    // sinks; the success path calls finish() for a clean flush.
+    obs::SinkGuard sinks(args.sink_flags());
 
     if (args.has("verbose")) {
       const simd::Level active = simd::active_level();
@@ -548,7 +397,19 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    flusher.finish();
+    if (sinks.finish()) {
+      if (!obs::trace_path().empty()) {
+        std::printf("trace written to %s (load in Perfetto / chrome://tracing)\n",
+                    obs::trace_path().c_str());
+      }
+      if (!obs::metrics_path().empty()) {
+        std::printf("metrics written to %s\n", obs::metrics_path().c_str());
+      }
+      if (!obs::profile_path().empty()) {
+        std::printf("profile written to %s (+ %s.folded for flamegraph tools)\n",
+                    obs::profile_path().c_str(), obs::profile_path().c_str());
+      }
+    }
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -29,127 +29,19 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
+#include "args.hpp"
 #include "obs/obs.hpp"
-#include "obs/snapshot.hpp"
-#include "opt/parallel.hpp"
-#include "phys/tsv_geometry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "tsv/linear_model.hpp"
-#include "tsv/model_io.hpp"
 
 using namespace tsvcod;
 
 namespace {
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key == "--help" || key == "-h") {
-        help_ = true;
-        continue;
-      }
-      if (key.rfind("--", 0) != 0) throw std::runtime_error("expected --flag, got: " + key);
-      key = key.substr(2);
-      if (key == "verbose") {  // boolean flag, takes no value
-        values_[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) throw std::runtime_error("missing value for --" + key);
-      values_[key] = argv[++i];
-    }
-  }
-
-  bool help() const { return help_; }
-  bool has(const std::string& k) const { return values_.count(k) > 0; }
-
-  std::string str(const std::string& k) const {
-    const auto it = values_.find(k);
-    if (it == values_.end()) throw std::runtime_error("missing required --" + k);
-    return it->second;
-  }
-  std::string str_or(const std::string& k, const std::string& def) const {
-    return has(k) ? values_.at(k) : def;
-  }
-  double number_or(const std::string& k, double def) const {
-    return has(k) ? std::stod(values_.at(k)) : def;
-  }
-  std::size_t size(const std::string& k) const { return parse_size(k, str(k)); }
-  std::size_t size_or(const std::string& k, std::size_t def) const {
-    return has(k) ? parse_size(k, values_.at(k)) : def;
-  }
-
- private:
-  static std::size_t parse_size(const std::string& k, const std::string& v) {
-    bool ok = !v.empty() && v[0] != '-' && v[0] != '+';
-    std::uint64_t out = 0;
-    if (ok) {
-      try {
-        std::size_t used = 0;
-        out = std::stoull(v, &used, 10);
-        ok = used == v.size();
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok) {
-      throw std::runtime_error("--" + k + " expects a non-negative integer, got: '" + v + "'");
-    }
-    return out;
-  }
-
-  std::map<std::string, std::string> values_;
-  bool help_ = false;
-};
-
-/// Flush observability sinks on every exit path (clean_exit=false when an
-/// exception unwinds past finish()).
-class ObsFlusher {
- public:
-  ObsFlusher() = default;
-  ObsFlusher(const ObsFlusher&) = delete;
-  ObsFlusher& operator=(const ObsFlusher&) = delete;
-  ~ObsFlusher() {
-    if (!armed_) return;
-    try {
-      obs::stop_snapshots();
-      obs::flush_outputs(/*clean_exit=*/false);
-    } catch (...) {
-    }
-  }
-  void finish() {
-    armed_ = false;
-    obs::stop_snapshots();
-    obs::flush_outputs(/*clean_exit=*/true);
-  }
-
- private:
-  bool armed_ = true;
-};
-
-tsv::LinearCapacitanceModel model_from(const Args& args) {
-  if (args.has("model")) return tsv::load_linear_model(args.str("model"));
-  phys::TsvArrayGeometry g;
-  g.rows = args.size("rows");
-  g.cols = args.size("cols");
-  g.radius = args.number_or("radius-um", 1.0) * 1e-6;
-  g.pitch = args.number_or("pitch-um", 4.0) * 1e-6;
-  g.length = args.number_or("length-um", 50.0) * 1e-6;
-  g.validate();
-  return tsv::fit_from_analytic(g);
-}
-
-int threads_from(const Args& args) {
-  if (!args.has("threads")) return 0;
-  const std::size_t n = args.size("threads");
-  if (n == 0) return opt::hardware_threads();
-  if (n > 65536) throw std::runtime_error("--threads value is absurdly large: " + std::to_string(n));
-  return static_cast<int>(n);
-}
+using tools::Args;
+using tools::threads_from;
 
 void print_help() {
   std::printf(
@@ -190,11 +82,11 @@ serve::SessionConfig session_config(const Args& args, const tsv::LinearCapacitan
     if (key == "codec") {
       cfg.codec.name = value == "none" ? "" : value;
     } else if (key == "window") {
-      cfg.drift.window_words = std::stoull(value);
+      cfg.drift.window_words = tools::parse_size("open option window", value);
     } else if (key == "threshold") {
-      cfg.drift.threshold = std::stod(value);
+      cfg.drift.threshold = tools::parse_number("open option threshold", value);
     } else if (key == "cooldown") {
-      cfg.drift.cooldown_words = std::stoull(value);
+      cfg.drift.cooldown_words = tools::parse_size("open option cooldown", value);
     } else {
       throw std::runtime_error("serve: unknown open option '" + key +
                                "' (known: codec window threshold cooldown)");
@@ -223,34 +115,16 @@ void emit_polled(serve::Server& server) {
 }
 
 int run(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, 1);
   if (args.help()) {
     print_help();
     return 0;
   }
 
-  obs::init_from_env();
-  if (args.has("trace-out")) obs::set_trace_path(args.str("trace-out"));
-  if (args.has("metrics-out")) obs::set_metrics_path(args.str("metrics-out"));
-  if (args.has("profile-out")) obs::set_profile_path(args.str("profile-out"));
-  if (args.has("snapshot-out")) {
-    obs::SnapshotOptions snap;
-    const double seconds = args.number_or("snapshot-interval", 1.0);
-    if (!(seconds > 0.0)) {
-      throw std::runtime_error(
-          "--snapshot-interval (or TSVCOD_SNAPSHOT_INTERVAL) must be > 0 seconds, got " +
-          args.str("snapshot-interval"));
-    }
-    snap.interval = std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
-    if (snap.interval.count() <= 0) snap.interval = std::chrono::milliseconds(1);
-    obs::start_snapshots(args.str("snapshot-out"), snap);
-  } else if (args.has("snapshot-interval")) {
-    throw std::runtime_error("--snapshot-interval needs --snapshot-out (or TSVCOD_SNAPSHOT)");
-  }
-  ObsFlusher flusher;
+  obs::SinkGuard sinks(args.sink_flags());
   const bool verbose = args.has("verbose");
 
-  const tsv::LinearCapacitanceModel model = model_from(args);
+  const tsv::LinearCapacitanceModel model = tools::model_from(args);
   serve::ServerOptions options;
   options.shards = static_cast<int>(args.size_or("shards", 4));
   options.queue_capacity = args.size_or("queue-capacity", 64);
@@ -305,7 +179,7 @@ int run(int argc, char** argv) {
        ",\"max_queue_depth\":" + std::to_string(totals.max_queue_depth) +
        ",\"clean_exit\":true}");
 
-  flusher.finish();
+  sinks.finish();
   return 0;
 }
 
