@@ -10,8 +10,10 @@
 #include "circuit/tsv_link_sim.hpp"
 #include "noc/simulator.hpp"
 #include "coding/bus_invert.hpp"
+#include "coding/correlator.hpp"
 #include "coding/gray.hpp"
 #include "coding/t0.hpp"
+#include "core/coded_link.hpp"
 #include "core/evaluator.hpp"
 #include "core/link.hpp"
 #include "field/extractor.hpp"
@@ -104,6 +106,40 @@ void BM_CouplingInvertEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CouplingInvertEncode);
+
+// The full correlator chain (encode -> lines -> decode) at width range(0),
+// one word per call and in 512-word blocks; items/s is words/s.
+core::CodedLink correlator_link(std::size_t width) {
+  std::mt19937_64 rng(5);
+  return core::CodedLink(
+      core::SignedPermutation::random(width, rng, std::vector<std::uint8_t>(width, 1)),
+      std::make_unique<coding::CorrelatorCodec>(width, 1));
+}
+
+void BM_CodedLinkRoundtrip(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  core::CodedLink link = correlator_link(width);
+  std::mt19937_64 rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(link.roundtrip(rng() & streams::width_mask(width)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CodedLinkRoundtrip)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_CodedLinkRoundtripBlock(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  core::CodedLink link = correlator_link(width);
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> words(512), out(512);
+  for (auto& w : words) w = rng() & streams::width_mask(width);
+  for (auto _ : state) {
+    link.roundtrip_block(words, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(words.size()));
+}
+BENCHMARK(BM_CodedLinkRoundtripBlock)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_EvaluatorSwapMove(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,5 @@
-// Observability overhead study: the cost of the obs layer on the two hot
-// paths it instruments (annealing and extraction), with obs disabled, with
+// Observability overhead study: the cost of the obs layer on the hot paths
+// it instruments (annealing, extraction, serve ingest), with obs disabled, with
 // metrics enabled, and with tracing enabled — plus per-operation costs of the
 // disabled fast path (one relaxed atomic load + branch). The acceptance
 // criterion for the disabled configuration is <= 2% over a build that never
@@ -7,12 +7,16 @@
 // with --benchmark_format=json for the usual BENCH JSON.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <chrono>
+#include <random>
 #include <vector>
 
 #include "core/link.hpp"
 #include "field/extractor.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
+#include "serve/session.hpp"
 #include "streams/random_streams.hpp"
 
 using namespace tsvcod;
@@ -75,6 +79,42 @@ void BM_Extraction(benchmark::State& state, Mode mode) {
     benchmark::DoNotOptimize(field::extract_capacitance(geom, pr, opts));
     if (mode == Mode::tracing) obs::reset_trace();
   }
+  teardown();
+}
+
+// The serve ingest path of a 64-bit correlator session, one 4096-word chunk
+// per ingest call. Each call opens three spans: serve.ingest, its
+// coding.roundtrip child and the fold's stats.compute. Every benchmark
+// iteration ingests the chunk twice, once with profiling off and once on
+// (the order alternates), and times the two calls apart: host noise then
+// hits both sides alike, and `overhead_pct` is the profiled calls' extra
+// time over the unprofiled ones.
+void BM_ServeIngestProfilingOverhead(benchmark::State& state) {
+  serve::SessionConfig cfg;
+  cfg.width = 64;
+  cfg.model = tsv::fit_from_analytic(phys::TsvArrayGeometry::itrs2018_relaxed(8, 8));
+  cfg.codec.name = "correlator";
+  cfg.drift.window_words = 4096;
+  cfg.drift.threshold = 0.0;  // no re-anneals: time the traffic and fold only
+  serve::Session session(1, cfg);
+  std::mt19937_64 rng(3);
+  std::vector<std::uint64_t> chunk(4096);
+  for (auto& w : chunk) w = rng();
+  apply(Mode::disabled);
+  std::array<double, 2> seconds{};  // [profiling off, profiling on]
+  bool profiled_first = false;
+  for (auto _ : state) {
+    for (const bool on : {profiled_first, !profiled_first}) {
+      obs::enable_profiling(on);
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(session.ingest(chunk));
+      seconds[on] += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    }
+    profiled_first = !profiled_first;
+  }
+  state.counters["overhead_pct"] = (seconds[1] / seconds[0] - 1.0) * 100.0;
+  state.counters["words"] = benchmark::Counter(2.0 * static_cast<double>(chunk.size()),
+                                               benchmark::Counter::kIsIterationInvariantRate);
   teardown();
 }
 
@@ -143,6 +183,10 @@ BENCHMARK_CAPTURE(BM_Extraction, disabled, Mode::disabled)->Unit(benchmark::kMil
 BENCHMARK_CAPTURE(BM_Extraction, metrics, Mode::metrics)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Extraction, tracing, Mode::tracing)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Extraction, profiling, Mode::profiling)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeIngestProfilingOverhead)
+    ->Unit(benchmark::kMicrosecond)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 BENCHMARK(BM_DisabledSpan);
 BENCHMARK(BM_DisabledCounterAndMetric);
 BENCHMARK(BM_EnabledSpan);

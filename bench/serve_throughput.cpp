@@ -1,9 +1,10 @@
 // Service-layer throughput: concurrent sessions streaming word batches
-// through the sharded server, plus the drift-trip -> re-anneal -> hot-swap
-// latency. Every throughput row is validated bit-identical against the
-// one-shot batch fold before its number is reported, and the swap row
-// requires zero decode desyncs — the two invariants the session layer
-// exists to uphold. Writes BENCH JSON to BENCH_serve.json (or --out).
+// through the sharded server, single sessions at widths 8, 32 and 64 (the
+// codec chain's cost grows with the line count), plus the drift-trip ->
+// re-anneal -> hot-swap latency. Every throughput row is validated
+// bit-identical against the one-shot batch fold before its number is
+// reported, and the swap row requires zero decode desyncs — the two
+// invariants the session layer exists to uphold. Writes BENCH JSON to BENCH_serve.json (or --out).
 //
 //   serve_throughput [--words N] [--reps R] [--out PATH]
 #include <chrono>
@@ -26,16 +27,16 @@ using namespace tsvcod;
 
 namespace {
 
-tsv::LinearCapacitanceModel model8() {
-  static const tsv::LinearCapacitanceModel model =
-      tsv::fit_from_analytic(phys::TsvArrayGeometry::itrs2018_relaxed(2, 4));
-  return model;
+/// Capacitance model of a 2x4, 4x8 or 8x8 array for width 8, 32 or 64.
+tsv::LinearCapacitanceModel model_for(std::size_t width) {
+  const std::size_t rows = width == 8 ? 2 : width == 32 ? 4 : 8;
+  return tsv::fit_from_analytic(phys::TsvArrayGeometry::itrs2018_relaxed(rows, width / rows));
 }
 
-serve::SessionConfig session_config(double drift_threshold) {
+serve::SessionConfig session_config(double drift_threshold, std::size_t width = 8) {
   serve::SessionConfig cfg;
-  cfg.width = 8;
-  cfg.model = model8();
+  cfg.width = width;
+  cfg.model = model_for(width);
   cfg.codec.name = "correlator";
   cfg.drift.window_words = 1024;
   cfg.drift.threshold = drift_threshold;
@@ -59,8 +60,8 @@ std::vector<std::uint64_t> traffic(unsigned seed, std::size_t n, std::size_t pha
   return words;
 }
 
-stats::SwitchingCounts batch_counts(std::span<const std::uint64_t> words) {
-  stats::ChunkFolder folder(8);
+stats::SwitchingCounts batch_counts(std::span<const std::uint64_t> words, std::size_t width) {
+  stats::ChunkFolder folder(width);
   folder.fold(words);
   return folder.counts();
 }
@@ -77,8 +78,10 @@ struct ThroughputRow {
 };
 
 /// `sessions` producer threads each stream `words_each` words in
-/// `batch`-word chunks into their own session, concurrently.
-ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t batch, int reps) {
+/// `batch`-word chunks into their own `width`-bit session, concurrently.
+ThroughputRow run_throughput(int sessions, std::size_t width, std::size_t words_each,
+                             std::size_t batch, int reps) {
+  const serve::SessionConfig config = session_config(0.0, width);
   ThroughputRow row;
   for (int rep = 0; rep < reps; ++rep) {
     std::vector<std::vector<std::uint64_t>> streams;
@@ -88,7 +91,7 @@ ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t b
 
     serve::Server server({.shards = 4, .queue_capacity = 64});
     for (int s = 0; s < sessions; ++s) {
-      server.open_session(static_cast<std::uint64_t>(s), session_config(0.0));
+      server.open_session(static_cast<std::uint64_t>(s), config);
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -113,7 +116,8 @@ ThroughputRow run_throughput(int sessions, std::size_t words_each, std::size_t b
     for (int s = 0; s < sessions; ++s) {
       const auto snap = server.session_stats(static_cast<std::uint64_t>(s));
       row.desyncs += snap.desyncs;
-      if (!counts_identical(snap.longrun, batch_counts(streams[static_cast<std::size_t>(s)]))) {
+      if (!counts_identical(snap.longrun,
+                            batch_counts(streams[static_cast<std::size_t>(s)], width))) {
         row.bit_identical = false;
       }
     }
@@ -155,7 +159,7 @@ SwapRow run_swap(std::size_t words_total, std::size_t batch) {
   }
   const auto snap = server.session_stats(1);
   row.desyncs = snap.desyncs;
-  row.bit_identical = counts_identical(snap.longrun, batch_counts(all));
+  row.bit_identical = counts_identical(snap.longrun, batch_counts(all, 8));
   return row;
 }
 
@@ -192,7 +196,7 @@ int main(int argc, char** argv) {
                       "concurrent streaming sessions + drift-triggered hot-swap latency");
   std::printf("%zu words/session in %zu-word batches, best of %d reps\n\n", words_each, kBatch,
               reps);
-  std::printf("%10s %16s %8s %6s\n", "row", "words_per_sec", "desyncs", "ident");
+  std::printf("%16s %16s %8s %6s\n", "row", "words_per_sec", "desyncs", "ident");
 
   bench::BenchJson doc("serve_throughput");
   doc.param("words_per_session", static_cast<double>(words_each))
@@ -200,14 +204,21 @@ int main(int argc, char** argv) {
       .param("reps", reps);
 
   bool ok = true;
-  for (const int sessions : {1, 8}) {
-    const ThroughputRow row = run_throughput(sessions, words_each, kBatch, reps);
+  struct Shape {
+    const char* name;
+    int sessions;
+    std::size_t width;
+  };
+  for (const Shape shape : {Shape{"sessions_1", 1, 8}, Shape{"sessions_8", 8, 8},
+                            Shape{"sessions_1_w32", 1, 32}, Shape{"sessions_1_w64", 1, 64}}) {
+    const ThroughputRow row =
+        run_throughput(shape.sessions, shape.width, words_each, kBatch, reps);
     ok = ok && row.bit_identical && row.desyncs == 0;
-    std::printf("%10s %16.3e %8llu %6s\n",
-                ("sessions_" + std::to_string(sessions)).c_str(), row.words_per_sec,
+    std::printf("%16s %16.3e %8llu %6s\n", shape.name, row.words_per_sec,
                 static_cast<unsigned long long>(row.desyncs), row.bit_identical ? "yes" : "NO");
     doc.begin_row()
-        .field("name", "sessions_" + std::to_string(sessions))
+        .field("name", shape.name)
+        .field("width", static_cast<double>(shape.width))
         .field("words_per_sec", row.words_per_sec)
         .field("desyncs", static_cast<double>(row.desyncs))
         .field("bit_identical", row.bit_identical);
@@ -215,7 +226,7 @@ int main(int argc, char** argv) {
 
   const SwapRow swap = run_swap(8 * words_each >= 32768 ? 32768 : 8 * words_each, kBatch);
   ok = ok && swap.swaps >= 1 && swap.desyncs == 0 && swap.bit_identical;
-  std::printf("%10s latency %.2f ms, improvement %.1f%%, swaps %llu, desyncs %llu, ident %s\n",
+  std::printf("%16s latency %.2f ms, improvement %.1f%%, swaps %llu, desyncs %llu, ident %s\n",
               "hot_swap", swap.latency_ms, swap.improvement_pct,
               static_cast<unsigned long long>(swap.swaps),
               static_cast<unsigned long long>(swap.desyncs), swap.bit_identical ? "yes" : "NO");

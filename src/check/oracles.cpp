@@ -1,20 +1,24 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "check/generators.hpp"
 #include "coding/factory.hpp"
+#include "coding/gray.hpp"
 #include "core/assignment_io.hpp"
 #include "core/coded_link.hpp"
 #include "core/evaluator.hpp"
+#include "core/line_network.hpp"
 #include "core/power.hpp"
 #include "field/grid.hpp"
 #include "field/solver.hpp"
@@ -67,8 +71,32 @@ struct CodecCase {
   core::SignedPermutation assignment{1};
   std::vector<std::uint64_t> words;
   std::vector<std::uint8_t> reset_before;  ///< atomic link reset before word k
+  /// Block leg: block boundaries before word k (2+ inserts empty blocks); a
+  /// reset before word k always cuts a block there.
+  std::vector<std::uint8_t> cuts_before;
   bool desync = false;                     ///< also run the one-sided-reset recovery scenario
+  // Network leg: LineNetwork vs the per-bit reference on raw 64-bit words
+  // (stray bits above the width), then inside a gray-coded link before and
+  // after a reset(net_next) hot swap.
+  core::SignedPermutation net{1};
+  core::SignedPermutation net_next{1};
+  std::vector<std::uint64_t> net_words;
 };
+
+/// Network widths: every width 1..64 is reachable; the NoC's 33-line
+/// bus-invert bundle, the 64-bit edge and other non-powers of two are
+/// drawn more often.
+std::size_t gen_network_width(Rng& rng) {
+  switch (rng.below(4)) {
+    case 0: return 33;
+    case 1: return 64;
+    case 2: {
+      const std::size_t w = 3 + rng.below(62);  // 3..64
+      return std::has_single_bit(w) ? w - 1 : w;
+    }
+    default: return 1 + rng.below(64);
+  }
+}
 
 CodecCase gen_codec_case(Rng& rng) {
   CodecCase cc;
@@ -89,11 +117,96 @@ CodecCase gen_codec_case(Rng& rng) {
   cc.words = gen_trace(rng, cc.width, 3 + rng.below(48));
   cc.reset_before.resize(cc.words.size());
   for (auto& r : cc.reset_before) r = rng.chance(0.08) ? 1 : 0;
+  cc.cuts_before.resize(cc.words.size());
+  for (auto& c : cc.cuts_before) {
+    c = static_cast<std::uint8_t>(rng.chance(0.2) ? 1 + rng.below(3) : 0);
+  }
   cc.desync = rng.chance(0.3);
+  const std::size_t net_width = gen_network_width(rng);
+  cc.net = gen_assignment(rng, net_width);
+  cc.net_next = gen_assignment(rng, net_width);
+  cc.net_words.resize(4 + rng.below(29));
+  for (auto& w : cc.net_words) w = rng.u64();
   return cc;
 }
 
+std::string mismatch(const char* what, std::size_t k, std::uint64_t in, std::uint64_t got,
+                     std::uint64_t want) {
+  std::ostringstream os;
+  os << what << " at word " << k << std::hex << ": input 0x" << in << ", got 0x" << got
+     << ", reference 0x" << want;
+  return os.str();
+}
+
+/// roundtrip_block over the case's block partition (resets between blocks)
+/// must reproduce per-word roundtrip() output for output.
+std::optional<std::string> check_codec_blocks(const CodecCase& cc) {
+  core::CodedLink per_word(cc.assignment, coding::make_codec(cc.spec, cc.width));
+  core::CodedLink blocks(cc.assignment, coding::make_codec(cc.spec, cc.width));
+  std::vector<std::uint64_t> out(cc.words.size());
+  const std::span<const std::uint64_t> words(cc.words);
+  std::size_t begin = 0;
+  const auto flush = [&](std::size_t end) {
+    blocks.roundtrip_block(words.subspan(begin, end - begin),
+                           std::span(out).subspan(begin, end - begin));
+    begin = end;
+  };
+  for (std::size_t k = 0; k <= cc.words.size(); ++k) {
+    const bool last = k == cc.words.size();
+    if (last || cc.cuts_before[k] || cc.reset_before[k]) flush(k);
+    if (last) break;
+    for (std::size_t e = 1; e < cc.cuts_before[k]; ++e) flush(k);  // empty blocks
+    if (cc.reset_before[k]) blocks.reset();
+  }
+  for (std::size_t k = 0; k < cc.words.size(); ++k) {
+    if (cc.reset_before[k]) per_word.reset();
+    const std::uint64_t want = per_word.roundtrip(cc.words[k]);
+    if (out[k] != want) {
+      return mismatch("roundtrip_block differs from roundtrip", k, cc.words[k], out[k], want);
+    }
+  }
+  return std::nullopt;
+}
+
+/// LineNetwork vs SignedPermutation::apply_word / unapply_word, standalone
+/// and as the line stage of a CodedLink across a hot swap.
+std::optional<std::string> check_line_network(const CodecCase& cc) {
+  const core::LineNetwork net(cc.net);
+  for (std::size_t k = 0; k < cc.net_words.size(); ++k) {
+    const std::uint64_t x = cc.net_words[k];
+    const std::uint64_t lines = net.apply(x), lines_want = cc.net.apply_word(x);
+    if (lines != lines_want) {
+      return mismatch("LineNetwork::apply differs from apply_word", k, x, lines, lines_want);
+    }
+    const std::uint64_t data = net.unapply(x), data_want = cc.net.unapply_word(x);
+    if (data != data_want) {
+      return mismatch("LineNetwork::unapply differs from unapply_word", k, x, data, data_want);
+    }
+  }
+  const std::size_t width = cc.net.size();
+  const coding::GrayCodec gray(width);
+  core::CodedLink link(cc.net, gray.clone());
+  for (const core::SignedPermutation* p : {&cc.net, &cc.net_next}) {
+    if (p == &cc.net_next) link.reset(cc.net_next);
+    auto ref = gray.clone();
+    for (std::size_t k = 0; k < cc.net_words.size(); ++k) {
+      const std::uint64_t x = cc.net_words[k];
+      const std::uint64_t tx = link.transmit(x), tx_want = p->apply_word(ref->encode(x));
+      if (tx != tx_want) {
+        return mismatch("CodedLink::transmit differs from the reference", k, x, tx, tx_want);
+      }
+      const std::uint64_t rx = link.receive(x), rx_want = ref->decode(p->unapply_word(x));
+      if (rx != rx_want) {
+        return mismatch("CodedLink::receive differs from the reference", k, x, rx, rx_want);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_codec_case(const CodecCase& cc) {
+  if (auto err = check_line_network(cc)) return err;
+  if (auto err = check_codec_blocks(cc)) return err;
   core::CodedLink link(cc.assignment, coding::make_codec(cc.spec, cc.width));
   if (link.payload_width() != cc.width) return "payload width disagrees with codec width_in";
   for (std::size_t k = 0; k < cc.words.size(); ++k) {
@@ -147,16 +260,29 @@ std::vector<CodecCase> shrink_codec_case(const CodecCase& cc) {
     c.reset_before.assign(c.reset_before.size(), 0);
     out.push_back(std::move(c));
   }
+  for (const auto& [b, e] : subrange_candidates(cc.net_words.size(), 1)) {
+    CodecCase c = cc;
+    if (b == e) {
+      c.net_words.erase(c.net_words.begin() + static_cast<std::ptrdiff_t>(b));
+    } else {
+      c.net_words.assign(cc.net_words.begin() + static_cast<std::ptrdiff_t>(b),
+                         cc.net_words.begin() + static_cast<std::ptrdiff_t>(e));
+    }
+    out.push_back(std::move(c));
+  }
   for (const auto& [b, e] : subrange_candidates(cc.words.size(), 1)) {
     CodecCase c = cc;
     if (b == e) {  // drop index b
       c.words.erase(c.words.begin() + static_cast<std::ptrdiff_t>(b));
       c.reset_before.erase(c.reset_before.begin() + static_cast<std::ptrdiff_t>(b));
+      c.cuts_before.erase(c.cuts_before.begin() + static_cast<std::ptrdiff_t>(b));
     } else {
       c.words.assign(cc.words.begin() + static_cast<std::ptrdiff_t>(b),
                      cc.words.begin() + static_cast<std::ptrdiff_t>(e));
       c.reset_before.assign(cc.reset_before.begin() + static_cast<std::ptrdiff_t>(b),
                             cc.reset_before.begin() + static_cast<std::ptrdiff_t>(e));
+      c.cuts_before.assign(cc.cuts_before.begin() + static_cast<std::ptrdiff_t>(b),
+                           cc.cuts_before.begin() + static_cast<std::ptrdiff_t>(e));
     }
     out.push_back(std::move(c));
   }
@@ -167,20 +293,31 @@ std::string describe_codec_case(const CodecCase& cc) {
   std::ostringstream os;
   os << "codec=" << cc.spec.name << " width=" << cc.width << " period=" << cc.spec.period
      << " stride=" << cc.spec.stride << " mask=0x" << std::hex << cc.spec.inversion_mask
-     << std::dec << " desync=" << (cc.desync ? "yes" : "no") << "\n  words=" << hex_words(cc.words)
-     << "\n  resets-before=[";
-  bool first = true;
-  for (std::size_t k = 0; k < cc.reset_before.size(); ++k) {
-    if (!cc.reset_before[k]) continue;
-    if (!first) os << ' ';
-    os << k;
-    first = false;
-  }
-  os << "]\n  assignment: bit->line(inv) ";
-  for (std::size_t bit = 0; bit < cc.assignment.size(); ++bit) {
-    os << bit << "->" << cc.assignment.line_of_bit(bit) << (cc.assignment.inverted(bit) ? "~" : "")
-       << ' ';
-  }
+     << std::dec << " desync=" << (cc.desync ? "yes" : "no") << "\n  words=" << hex_words(cc.words);
+  const auto positions = [&](const char* label, const std::vector<std::uint8_t>& flags) {
+    os << "\n  " << label << "=[";
+    bool first = true;
+    for (std::size_t k = 0; k < flags.size(); ++k) {
+      if (!flags[k]) continue;
+      if (!first) os << ' ';
+      os << k;
+      if (flags[k] > 1) os << '(' << static_cast<int>(flags[k]) << ')';  // count
+      first = false;
+    }
+    os << ']';
+  };
+  positions("resets-before", cc.reset_before);
+  positions("block-cuts-before", cc.cuts_before);
+  const auto permutation = [&](const char* label, const core::SignedPermutation& p) {
+    os << "\n  " << label << ": bit->line(inv) ";
+    for (std::size_t bit = 0; bit < p.size(); ++bit) {
+      os << bit << "->" << p.line_of_bit(bit) << (p.inverted(bit) ? "~" : "") << ' ';
+    }
+  };
+  permutation("assignment", cc.assignment);
+  os << "\n  network width=" << cc.net.size() << " words=" << hex_words(cc.net_words);
+  permutation("network", cc.net);
+  permutation("network after hot swap", cc.net_next);
   return os.str();
 }
 

@@ -5,6 +5,21 @@
 
 namespace tsvcod::coding {
 
+namespace {
+
+/// Shared decoder of the bus-invert family: the flag line `width` says
+/// whether the data lines were sent complemented.
+void decode_invert_flag(std::size_t width, std::span<const std::uint64_t> in,
+                        std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t data = in[i] & mask;
+    out[i] = (in[i] >> width) & 1u ? ~data & mask : data;
+  }
+}
+
+}  // namespace
+
 BusInvertCodec::BusInvertCodec(std::size_t width) : width_(width) {
   if (width == 0 || width > kMaxWidth) {
     throw std::invalid_argument("BusInvertCodec: width " + std::to_string(width) +
@@ -13,19 +28,20 @@ BusInvertCodec::BusInvertCodec(std::size_t width) : width_(width) {
   }
 }
 
-std::uint64_t BusInvertCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  const int toggles = std::popcount(word ^ prev_out_);
-  const bool invert = toggles > static_cast<int>(width_) / 2;
-  const std::uint64_t data = invert ? (~word & streams::width_mask(width_)) : word;
-  prev_out_ = data;
-  return data | (static_cast<std::uint64_t>(invert) << width_);
+void BusInvertCodec::encode_block(std::span<const std::uint64_t> in,
+                                  std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t word = in[i] & mask;
+    const bool invert = std::popcount(word ^ prev_out_) > static_cast<int>(width_) / 2;
+    prev_out_ = invert ? ~word & mask : word;
+    out[i] = prev_out_ | (static_cast<std::uint64_t>(invert) << width_);
+  }
 }
 
-std::uint64_t BusInvertCodec::decode(std::uint64_t code) {
-  const bool invert = (code >> width_) & 1u;
-  const std::uint64_t data = code & streams::width_mask(width_);
-  return invert ? (~data & streams::width_mask(width_)) : data;
+void BusInvertCodec::decode_block(std::span<const std::uint64_t> in,
+                                  std::span<std::uint64_t> out) {
+  decode_invert_flag(width_, in, out);
 }
 
 void BusInvertCodec::reset() { prev_out_ = 0; }
@@ -56,21 +72,21 @@ double CouplingInvertCodec::transition_cost(std::uint64_t from, std::uint64_t to
   return cost;
 }
 
-std::uint64_t CouplingInvertCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  const std::uint64_t plain = word;
-  const std::uint64_t flipped =
-      (~word & streams::width_mask(width_)) | (std::uint64_t{1} << width_);
-  const double cost_plain = transition_cost(prev_code_, plain);
-  const double cost_flipped = transition_cost(prev_code_, flipped);
-  prev_code_ = cost_flipped < cost_plain ? flipped : plain;
-  return prev_code_;
+void CouplingInvertCodec::encode_block(std::span<const std::uint64_t> in,
+                                       std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t plain = in[i] & mask;
+    const std::uint64_t flipped = (~plain & mask) | (std::uint64_t{1} << width_);
+    prev_code_ =
+        transition_cost(prev_code_, flipped) < transition_cost(prev_code_, plain) ? flipped : plain;
+    out[i] = prev_code_;
+  }
 }
 
-std::uint64_t CouplingInvertCodec::decode(std::uint64_t code) {
-  const bool invert = (code >> width_) & 1u;
-  const std::uint64_t data = code & streams::width_mask(width_);
-  return invert ? (~data & streams::width_mask(width_)) : data;
+void CouplingInvertCodec::decode_block(std::span<const std::uint64_t> in,
+                                       std::span<std::uint64_t> out) {
+  decode_invert_flag(width_, in, out);
 }
 
 void CouplingInvertCodec::reset() { prev_code_ = 0; }

@@ -10,18 +10,33 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "streams/word_stream.hpp"
 
 namespace tsvcod::coding {
 
+/// Block-first interface: each codec implements exactly one encode loop and
+/// one decode loop over a span of words; the one-word calls are wrappers.
+/// `out.size()` must equal `in.size()`. `out` may be `in` itself (in-place),
+/// but the two spans must not otherwise overlap. History carries across
+/// calls, so any partition of a stream into blocks (empty blocks included)
+/// codes identically to word-by-word calls.
 class Codec {
  public:
   virtual ~Codec() = default;
   virtual std::size_t width_in() const = 0;
   virtual std::size_t width_out() const = 0;
-  virtual std::uint64_t encode(std::uint64_t word) = 0;
-  virtual std::uint64_t decode(std::uint64_t code) = 0;
+  virtual void encode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) = 0;
+  virtual void decode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) = 0;
+  std::uint64_t encode(std::uint64_t word) {
+    encode_block({&word, 1}, {&word, 1});
+    return word;
+  }
+  std::uint64_t decode(std::uint64_t code) {
+    decode_block({&code, 1}, {&code, 1});
+    return code;
+  }
   /// Clear any history (returns the codec to its power-on state).
   virtual void reset() = 0;
   /// Deep copy, history included. A transmitter/receiver pair is built by

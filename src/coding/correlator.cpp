@@ -18,21 +18,26 @@ CorrelatorCodec::CorrelatorCodec(std::size_t width, std::size_t period,
   if (period == 0) throw std::invalid_argument("CorrelatorCodec: period must be > 0");
 }
 
-std::uint64_t CorrelatorCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  const std::uint64_t prev = enc_history_[enc_pos_];
-  enc_history_[enc_pos_] = word;
-  enc_pos_ = (enc_pos_ + 1) % period_;
-  return (word ^ prev ^ mask_) & streams::width_mask(width_);
+void CorrelatorCodec::encode_block(std::span<const std::uint64_t> in,
+                                   std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t word = in[i] & mask;
+    out[i] = word ^ enc_history_[enc_pos_] ^ mask_;
+    enc_history_[enc_pos_] = word;
+    if (++enc_pos_ == period_) enc_pos_ = 0;
+  }
 }
 
-std::uint64_t CorrelatorCodec::decode(std::uint64_t code) {
-  code &= streams::width_mask(width_);
-  const std::uint64_t prev = dec_history_[dec_pos_];
-  const std::uint64_t word = (code ^ mask_ ^ prev) & streams::width_mask(width_);
-  dec_history_[dec_pos_] = word;
-  dec_pos_ = (dec_pos_ + 1) % period_;
-  return word;
+void CorrelatorCodec::decode_block(std::span<const std::uint64_t> in,
+                                   std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t word = (in[i] ^ mask_ ^ dec_history_[dec_pos_]) & mask;
+    dec_history_[dec_pos_] = word;
+    if (++dec_pos_ == period_) dec_pos_ = 0;
+    out[i] = word;
+  }
 }
 
 void CorrelatorCodec::reset() {

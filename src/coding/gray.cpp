@@ -15,19 +15,25 @@ GrayCodec::GrayCodec(std::size_t width, std::uint64_t inversion_mask)
 std::uint64_t GrayCodec::binary_to_gray(std::uint64_t b) { return b ^ (b >> 1); }
 
 std::uint64_t GrayCodec::gray_to_binary(std::uint64_t g, std::size_t width) {
-  std::uint64_t b = 0;
-  for (std::size_t shift = 0; shift < width; ++shift) b ^= g >> shift;
-  return b & streams::width_mask(width);
+  // Bit i of the binary value is the XOR of Gray bits i..width-1: a suffix
+  // parity, built in log2(64) doubling steps.
+  std::uint64_t b = g & streams::width_mask(width);
+  b ^= b >> 1;
+  b ^= b >> 2;
+  b ^= b >> 4;
+  b ^= b >> 8;
+  b ^= b >> 16;
+  b ^= b >> 32;
+  return b;
 }
 
-std::uint64_t GrayCodec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
-  return (binary_to_gray(word) ^ mask_) & streams::width_mask(width_);
+void GrayCodec::encode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = binary_to_gray(in[i] & mask) ^ mask_;
 }
 
-std::uint64_t GrayCodec::decode(std::uint64_t code) {
-  code = (code ^ mask_) & streams::width_mask(width_);
-  return gray_to_binary(code, width_);
+void GrayCodec::decode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = gray_to_binary(in[i] ^ mask_, width_);
 }
 
 }  // namespace tsvcod::coding

@@ -19,15 +19,16 @@ class GrayCodec final : public Codec {
 
   std::size_t width_in() const override { return width_; }
   std::size_t width_out() const override { return width_; }
-  std::uint64_t encode(std::uint64_t word) override;
-  std::uint64_t decode(std::uint64_t code) override;
+  void encode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override;
+  void decode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override;
   void reset() override {}
   std::unique_ptr<Codec> clone() const override { return std::make_unique<GrayCodec>(*this); }
 
   /// Widest supported word; the code is width-preserving.
   static constexpr std::size_t kMaxWidth = 64;
 
-  /// Plain binary-reflected Gray conversion helpers.
+  /// Plain binary-reflected Gray conversion helpers; gray_to_binary ignores
+  /// the bits of `g` above `width`.
   static std::uint64_t binary_to_gray(std::uint64_t b);
   static std::uint64_t gray_to_binary(std::uint64_t g, std::size_t width);
 

@@ -13,33 +13,35 @@ T0Codec::T0Codec(std::size_t width, std::uint64_t stride) : width_(width), strid
   if (stride == 0) throw std::invalid_argument("T0Codec: stride must be nonzero");
 }
 
-std::uint64_t T0Codec::encode(std::uint64_t word) {
-  word &= streams::width_mask(width_);
+void T0Codec::encode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
   const std::uint64_t inc_bit = std::uint64_t{1} << width_;
-  const bool in_sequence =
-      enc_primed_ && word == ((enc_last_value_ + stride_) & streams::width_mask(width_));
-  enc_last_value_ = word;
-  enc_primed_ = true;
-  if (in_sequence) {
-    return enc_frozen_lines_ | inc_bit;  // data lines frozen, INC set
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t word = in[i] & mask;
+    const bool in_sequence = enc_primed_ && word == ((enc_last_value_ + stride_) & mask);
+    enc_last_value_ = word;
+    enc_primed_ = true;
+    if (in_sequence) {
+      out[i] = enc_frozen_lines_ | inc_bit;  // data lines frozen, INC set
+    } else {
+      enc_frozen_lines_ = word;
+      out[i] = word;
+    }
   }
-  enc_frozen_lines_ = word;
-  return word;
 }
 
-std::uint64_t T0Codec::decode(std::uint64_t code) {
-  const bool inc = (code >> width_) & 1u;
-  const std::uint64_t data = code & streams::width_mask(width_);
-  std::uint64_t value;
-  if (inc) {
-    if (!dec_primed_) throw std::logic_error("T0Codec: INC before any absolute value");
-    value = (dec_last_value_ + stride_) & streams::width_mask(width_);
-  } else {
-    value = data;
+void T0Codec::decode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  const std::uint64_t mask = streams::width_mask(width_);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if ((in[i] >> width_) & 1u) {
+      if (!dec_primed_) throw std::logic_error("T0Codec: INC before any absolute value");
+      dec_last_value_ = (dec_last_value_ + stride_) & mask;
+    } else {
+      dec_last_value_ = in[i] & mask;
+    }
+    dec_primed_ = true;
+    out[i] = dec_last_value_;
   }
-  dec_last_value_ = value;
-  dec_primed_ = true;
-  return value;
 }
 
 void T0Codec::reset() {

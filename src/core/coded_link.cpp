@@ -3,10 +3,12 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/profile.hpp"
+
 namespace tsvcod::core {
 
 CodedLink::CodedLink(SignedPermutation assignment, std::unique_ptr<coding::Codec> codec)
-    : assignment_(std::move(assignment)), tx_(std::move(codec)) {
+    : assignment_(std::move(assignment)), net_(assignment_), tx_(std::move(codec)) {
   if (!tx_) throw std::invalid_argument("CodedLink: null codec");
   if (assignment_.size() != tx_->width_out()) {
     throw std::invalid_argument("CodedLink: assignment size " +
@@ -27,19 +29,33 @@ SignedPermutation CodedLink::assignment_snapshot() const {
 
 std::uint64_t CodedLink::transmit(std::uint64_t word) {
   std::lock_guard<std::mutex> lk(*mu_);
-  return assignment_.apply_word(tx_->encode(word));
+  return net_.apply(tx_->encode(word));
 }
 
 std::uint64_t CodedLink::receive(std::uint64_t lines) {
   std::lock_guard<std::mutex> lk(*mu_);
-  return rx_->decode(assignment_.unapply_word(lines));
+  return rx_->decode(net_.unapply(lines));
 }
 
 std::uint64_t CodedLink::roundtrip(std::uint64_t word) {
   // One critical section for both halves: a concurrent reset / hot-swap can
   // only land between whole words, never between a word's encode and decode.
   std::lock_guard<std::mutex> lk(*mu_);
-  return rx_->decode(assignment_.unapply_word(assignment_.apply_word(tx_->encode(word))));
+  return rx_->decode(net_.unapply(net_.apply(tx_->encode(word))));
+}
+
+void CodedLink::roundtrip_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+  if (out.size() != in.size()) {
+    throw std::invalid_argument("CodedLink::roundtrip_block: output size " +
+                                std::to_string(out.size()) + " does not match input size " +
+                                std::to_string(in.size()));
+  }
+  obs::Span span("coding.roundtrip");
+  obs::profile_work("words", in.size());
+  std::lock_guard<std::mutex> lk(*mu_);
+  tx_->encode_block(in, out);
+  net_.roundtrip(out);
+  rx_->decode_block(out, out);
 }
 
 void CodedLink::reset() {
@@ -54,8 +70,10 @@ void CodedLink::reset(SignedPermutation next) {
                                 std::to_string(next.size()) + " does not match line width " +
                                 std::to_string(assignment_.size()));
   }
+  LineNetwork net(next);  // route outside the lock; traffic keeps flowing
   std::lock_guard<std::mutex> lk(*mu_);
   assignment_ = std::move(next);
+  net_ = net;
   tx_->reset();
   rx_->reset();
 }

@@ -11,21 +11,27 @@
 // propagates reset() to both sides atomically: there is no API to reset one
 // endpoint without the other.
 //
-// Thread safety: transmit / receive / roundtrip / reset are serialized by an
-// internal mutex, so a reset (including the assignment hot-swap overload)
-// can land between whole words of concurrent traffic without ever splitting
-// the tx/rx pair — the swap mechanism the streaming service (src/serve)
-// relies on. roundtrip() holds the lock across both halves, so interleaved
-// roundtrips from several threads keep the endpoint histories in lockstep.
-// The uncontended lock is a few nanoseconds against a codec's encode cost;
-// single-threaded callers are unaffected.
+// The assignment is compiled into a LineNetwork (core/line_network.hpp) at
+// construction and at every reset(next); the per-word path and the block
+// path both place words on the lines through it.
+//
+// Thread safety: transmit / receive / roundtrip / roundtrip_block / reset are
+// serialized by an internal mutex. roundtrip_block() takes the lock once per
+// block and holds it across the whole encode -> lines -> decode chain of
+// every word in it, so a reset (including the assignment hot-swap overload)
+// lands between blocks and therefore between whole words — never between a
+// word's encode and decode, never splitting the tx/rx pair. That is the swap
+// mechanism the streaming service (src/serve) relies on, and interleaved
+// calls from several threads keep the endpoint histories in lockstep.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "coding/codec.hpp"
 #include "core/assignment.hpp"
+#include "core/line_network.hpp"
 
 namespace tsvcod::core {
 
@@ -54,6 +60,11 @@ class CodedLink {
   /// halves happen under one lock acquisition, so a concurrent reset can
   /// never land between them.
   std::uint64_t roundtrip(std::uint64_t word);
+  /// roundtrip() over a block: out[i] is the received word for in[i].
+  /// `out.size()` must equal `in.size()`; `out` may be `in`. One lock
+  /// acquisition for the whole block, so a concurrent reset lands before or
+  /// after it. Equals per-word roundtrip() calls for any block partition.
+  void roundtrip_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out);
 
   /// Atomic pair reset: both endpoints return to the power-on state in one
   /// call. Resetting a single endpoint of a stateful pair desyncs the link;
@@ -76,6 +87,7 @@ class CodedLink {
 
  private:
   SignedPermutation assignment_;
+  LineNetwork net_;  ///< assignment_ compiled; rebuilt with it
   std::unique_ptr<coding::Codec> tx_;
   std::unique_ptr<coding::Codec> rx_;
   // unique_ptr keeps the link movable (std::mutex is not); never null.

@@ -19,8 +19,12 @@ class IdentityCodec final : public coding::Codec {
   explicit IdentityCodec(std::size_t width) : width_(width) {}
   std::size_t width_in() const override { return width_; }
   std::size_t width_out() const override { return width_; }
-  std::uint64_t encode(std::uint64_t word) override { return word; }
-  std::uint64_t decode(std::uint64_t code) override { return code; }
+  void encode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override {
+    for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i];
+  }
+  void decode_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out) override {
+    for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i];
+  }
   void reset() override {}
   std::unique_ptr<Codec> clone() const override { return std::make_unique<IdentityCodec>(width_); }
 
@@ -140,6 +144,7 @@ bool Session::window_boundary_locked(IngestResult& out) {
 }
 
 Session::IngestResult Session::ingest(std::span<const std::uint64_t> words) {
+  obs::Span span("serve.ingest");
   IngestResult out;
   out.current = core::SignedPermutation::identity(config_.width);
 
@@ -157,11 +162,10 @@ Session::IngestResult Session::ingest(std::span<const std::uint64_t> words) {
         static_cast<std::size_t>(std::min<std::uint64_t>(room, words.size() - offset));
     const std::span<const std::uint64_t> chunk = words.subspan(offset, take);
 
-    // Traffic first (per word, decode-verified), then the vectorized fold.
-    for (const std::uint64_t raw : chunk) {
-      const std::uint64_t payload = raw & mask;
-      if (link_.roundtrip(payload) != payload) ++desyncs_;
-    }
+    // Traffic first (one block, decode-verified), then the vectorized fold.
+    received_.resize(take);
+    link_.roundtrip_block(chunk, received_);
+    for (std::size_t i = 0; i < take; ++i) desyncs_ += received_[i] != (chunk[i] & mask);
     window_.fold(chunk);
     words_ += take;
     offset += take;

@@ -3,9 +3,10 @@
 //
 // Every ingested word does two things:
 //   1. Traffic: it is round-tripped through a CodedLink (encode -> assign ->
-//      lines -> unassign -> decode) and decode-verified — a desync counter
-//      records any word that fails to come back, which is the observable the
-//      hot-swap guarantee is stated in terms of.
+//      lines -> unassign -> decode), one roundtrip_block per window chunk,
+//      and decode-verified — a desync counter records any word that fails to
+//      come back, which is the observable the hot-swap guarantee is stated
+//      in terms of.
 //   2. Statistics: it is folded into a windowed ChunkFolder (tumbling window
 //      of `DriftOptions::window_words`, seam carried across windows); at each
 //      boundary the finished window's exact integer counts merge into the
@@ -33,6 +34,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "coding/factory.hpp"
 #include "core/coded_link.hpp"
@@ -121,9 +123,10 @@ class Session {
   IngestResult ingest(std::span<const std::uint64_t> words);
 
   /// Install a re-annealed assignment: atomic hot-swap on the link, then
-  /// clear the in-flight flag. `expected_swap_seq` must be the sequence
-  /// returned implicitly by the trip (guards against a stale anneal landing
-  /// after a newer one — the stale result is dropped).
+  /// clear the in-flight flag. Only installs while a trip's re-anneal is in
+  /// flight: at most one is at a time, and abandon_reanneal() clears the
+  /// flag, so an abandoned (or never requested) anneal returns false and
+  /// leaves the link untouched.
   bool install(const core::SignedPermutation& next);
 
   /// Drop the in-flight flag without installing (anneal failed).
@@ -142,6 +145,7 @@ class Session {
   core::CodedLink link_;
   stats::SwitchingCounts longrun_;  ///< finished windows, merged exactly
   stats::ChunkFolder window_;       ///< current (partial) tumbling window
+  std::vector<std::uint64_t> received_;  ///< roundtrip output, reused per chunk
   std::uint64_t words_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t windows_ = 0;

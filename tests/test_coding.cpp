@@ -48,6 +48,28 @@ TEST(Gray, InversionMaskIsXnorRealization) {
   }
 }
 
+// The per-shift decoder the O(log w) prefix XOR replaced, kept as its
+// reference.
+std::uint64_t gray_to_binary_per_shift(std::uint64_t g, std::size_t width) {
+  std::uint64_t b = 0;
+  for (std::size_t shift = 0; shift < width; ++shift) b ^= g >> shift;
+  return b & streams::width_mask(width);
+}
+
+TEST(Gray, PrefixXorDecodeMatchesPerShiftLoop) {
+  for (std::size_t w = 1; w <= 16; ++w) {
+    for (std::uint64_t g = 0; g <= streams::width_mask(w); ++g) {
+      ASSERT_EQ(GrayCodec::gray_to_binary(g, w), gray_to_binary_per_shift(g, w))
+          << "width " << w << " gray " << g;
+    }
+  }
+  std::mt19937_64 rng(64);
+  for (int k = 0; k < 100000; ++k) {
+    const std::uint64_t g = rng();
+    ASSERT_EQ(GrayCodec::gray_to_binary(g, 64), gray_to_binary_per_shift(g, 64)) << g;
+  }
+}
+
 TEST(Gray, StabilizesCorrelatedMsbs) {
   // Normally distributed data: Gray coding turns the sign-extension region
   // into nearly stable 0s (paper Sec. 6).
@@ -389,6 +411,38 @@ TEST(Factory, CloneCopiesHistory) {
   auto b = a->clone();
   for (std::uint64_t w : {0x56ull, 0x78ull, 0x9Aull}) {
     EXPECT_EQ(a->encode(w), b->encode(w));
+  }
+}
+
+TEST(Codec, BlockCallsEqualWordCallsForEveryPartition) {
+  // One loop per codec: blocks of any size (empty included, in place or not)
+  // must code exactly like one-word calls, with history carried across.
+  std::mt19937_64 rng(8);
+  for (const auto& name : codec_names()) {
+    CodecSpec spec;
+    spec.name = name;
+    spec.period = 3;
+    spec.inversion_mask = 0x5A5;
+    const auto blocks = make_codec(spec, 11);
+    const auto words = blocks->clone();
+    std::vector<std::uint64_t> in(24), code(24), back(24), want(24);
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t n = rng() % 25;
+      for (std::size_t i = 0; i < n; ++i) {
+        in[i] = rng() % 4 == 0 && i > 0 ? in[i - 1] + 1 : rng();  // t0 runs too
+      }
+      const std::span<std::uint64_t> c = std::span(code).first(n);
+      blocks->encode_block(std::span(in).first(n), c);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(c[i], words->encode(in[i])) << name << " encode, round " << round;
+        want[i] = words->decode(c[i]);
+      }
+      const std::span<std::uint64_t> b = rng() % 2 ? c : std::span(back).first(n);
+      blocks->decode_block(c, b);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(b[i], want[i]) << name << " decode, round " << round;
+      }
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/assignment.hpp"
+#include "core/line_network.hpp"
 #include "core/link.hpp"
 #include "core/mappings.hpp"
 #include "core/optimize.hpp"
@@ -375,6 +376,50 @@ TEST(Link, ReductionPercentHelpers) {
   EXPECT_DOUBLE_EQ(core::reduction_pct(0.0, 1.0), 0.0);
 }
 
+// --- LineNetwork: the compiled assignment ---------------------------------
+
+TEST(LineNetwork, MatchesReferenceAtEveryWidth) {
+  // Bit-identical to the per-bit reference for every width (so for every
+  // network size, 1..6 levels), on words with stray bits above the width
+  // (both sides must ignore them), for the identity, the full reversal and
+  // random signed permutations.
+  std::mt19937_64 rng(13);
+  for (std::size_t w = 1; w <= 64; ++w) {
+    std::vector<SignedPermutation> perms{SignedPermutation::identity(w)};
+    std::vector<std::size_t> reversed(w);
+    for (std::size_t b = 0; b < w; ++b) reversed[b] = w - 1 - b;
+    perms.emplace_back(reversed, std::vector<std::uint8_t>(w, 1));
+    for (int k = 0; k < 8; ++k) {
+      perms.push_back(SignedPermutation::random(w, rng, std::vector<std::uint8_t>(w, 1)));
+    }
+    for (const auto& p : perms) {
+      const core::LineNetwork net(p);
+      for (int k = 0; k < 64; ++k) {
+        const std::uint64_t x = rng();
+        ASSERT_EQ(net.apply(x), p.apply_word(x)) << "width " << w << " word " << x;
+        ASSERT_EQ(net.unapply(x), p.unapply_word(x)) << "width " << w << " word " << x;
+      }
+      // The block pass equals per-word apply then unapply (37: odd tail).
+      std::vector<std::uint64_t> block(37);
+      for (auto& x : block) x = rng();
+      std::vector<std::uint64_t> want = block;
+      for (auto& x : want) x = p.unapply_word(p.apply_word(x));
+      net.roundtrip(block);
+      ASSERT_EQ(block, want) << "width " << w;
+    }
+  }
+}
+
+TEST(LineNetwork, IsASnapshotOfThePermutation) {
+  // Mutating the permutation afterwards must not change a built network.
+  auto p = SignedPermutation::identity(16);
+  const core::LineNetwork net(p);
+  p.swap_bits(0, 15);
+  p.toggle_inversion(3);
+  EXPECT_EQ(net.apply(0x1u), 0x1u);
+  EXPECT_EQ(core::LineNetwork(p).apply(0x1u), p.apply_word(0x1u));
+}
+
 // --- CodedLink: atomic reset of stateful codec pairs -----------------------
 
 TEST(CodedLink, RoundTripAcrossAtomicReset) {
@@ -431,6 +476,14 @@ TEST(CodedLink, ReceiverIsCloneOfTransmitter) {
   }
 }
 
+TEST(CodedLink, BlockRoundtripRejectsSizeMismatch) {
+  coding::CodecSpec spec;
+  spec.name = "gray";
+  core::CodedLink link(SignedPermutation::identity(4), coding::make_codec(spec, 4));
+  std::vector<std::uint64_t> in(3), out(2);
+  EXPECT_THROW(link.roundtrip_block(in, out), std::invalid_argument);
+}
+
 TEST(CodedLink, RejectsMismatchedAssignment) {
   coding::CodecSpec spec;
   spec.name = "bus-invert";  // 7 payload bits -> 8 lines
@@ -455,15 +508,26 @@ TEST(CodedLink, HotSwapUnderConcurrentTrafficNeverDesyncs) {
   std::atomic<std::uint64_t> desyncs{0};
   std::atomic<bool> go{false};
 
+  // Even threads send word by word, odd threads in blocks of 1..64 words
+  // (one lock per block: swaps land between blocks).
   std::vector<std::thread> traffic;
   traffic.reserve(kTrafficThreads);
   for (int t = 0; t < kTrafficThreads; ++t) {
     traffic.emplace_back([&, t] {
       std::mt19937_64 rng(101 + t);
+      std::vector<std::uint64_t> in(64), out(64);
       while (!go.load()) {}
-      for (int k = 0; k < kWordsPerThread; ++k) {
-        const std::uint64_t w = rng() & 0xFFu;
-        if (link.roundtrip(w) != w) desyncs.fetch_add(1);
+      for (int k = 0; k < kWordsPerThread;) {
+        const std::size_t n =
+            t % 2 ? std::min<std::size_t>(1 + rng() % 64, kWordsPerThread - k) : 1;
+        for (std::size_t i = 0; i < n; ++i) in[i] = rng() & 0xFFu;
+        if (n == 1) {
+          out[0] = link.roundtrip(in[0]);
+        } else {
+          link.roundtrip_block(std::span(in).first(n), std::span(out).first(n));
+        }
+        for (std::size_t i = 0; i < n; ++i) desyncs.fetch_add(out[i] != in[i]);
+        k += static_cast<int>(n);
       }
     });
   }

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
+#include "obs/profile.hpp"
 #include "phys/tsv_geometry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -139,6 +141,35 @@ TEST(Session, StatsBitIdenticalToBatchAtRaggedChunkSizes) {
     EXPECT_EQ(snap.words, words.size());
     expect_counts_equal(snap.longrun, batch_counts(all, 8));
   }
+}
+
+TEST(Session, IngestProfileShowsTheCodecRoundtrip) {
+  // One ingested chunk inside one window: a serve.ingest span with one
+  // coding.roundtrip block under it that counts every word.
+  obs::reset_profile();
+  obs::enable_profiling(true);
+  {
+    serve::Session session(3, config8());
+    const auto words = traffic(4, 100, 100);
+    session.ingest(words);
+  }
+  obs::enable_profiling(false);
+  const auto doc = obs::json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  obs::reset_profile();
+
+  const obs::json::Value* ingest = nullptr;
+  for (const auto& root : doc.find("roots")->array) {
+    if (root.find("name")->string == "serve.ingest") ingest = &root;
+  }
+  ASSERT_NE(ingest, nullptr);
+  EXPECT_EQ(ingest->find("count")->number, 1.0);
+  const obs::json::Value* roundtrip = nullptr;
+  for (const auto& child : ingest->find("children")->array) {
+    if (child.find("name")->string == "coding.roundtrip") roundtrip = &child;
+  }
+  ASSERT_NE(roundtrip, nullptr);
+  EXPECT_EQ(roundtrip->find("count")->number, 1.0);
+  EXPECT_EQ(roundtrip->find("work")->find("words")->number, 100.0);
 }
 
 TEST(Session, WindowsMergeToWholeStreamCounts) {
