@@ -133,8 +133,8 @@ int main(int argc, char** argv) {
         best_words_per_sec(n, reps, [&] { streams::MappedTrace map(bpath); });
     stats::SwitchingStats from_bin;
     const double bin_e2e_wps = best_words_per_sec(n, reps, [&] {
-      streams::MappedTraceSource source(bpath);
-      from_bin = stats::compute_stats(source, width, threads);
+      const auto source = streams::open_word_source(bpath, width);
+      from_bin = stats::compute_stats(*source, threads);
     });
 
     const bool ident = identical(from_text, from_bin);

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "stats/ingest.hpp"
+#include "stats/switching_stats.hpp"
 
 namespace tsvcod::core {
 
@@ -23,16 +23,7 @@ stats::SwitchingStats Link::measure(streams::WordStream& stream, std::size_t sam
   // Streams generate sequentially, but the reduction does not have to:
   // materialize the trace and hand it to the chunked bit-plane kernel
   // (bit-identical to feeding an accumulator word by word).
-  std::vector<std::uint64_t> words(samples);
-  for (auto& w : words) w = stream.next();
-  return stats::compute_stats(words, width());
-}
-
-stats::SwitchingStats Link::measure(streams::WordSource& source, int threads) const {
-  if (source.width() != width()) {
-    throw std::invalid_argument("Link::measure: source width does not match the array");
-  }
-  return stats::compute_stats(source, width(), threads);
+  return stats::compute_stats(streams::collect(stream, samples), width());
 }
 
 double Link::power(const stats::SwitchingStats& bit_stats, const SignedPermutation& a) const {

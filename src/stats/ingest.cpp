@@ -48,20 +48,12 @@ void ChunkFolder::reset_window() {
   total_ = SwitchingCounts(width_);
 }
 
-SwitchingCounts compute_counts(streams::WordSource& source, std::size_t width, int threads) {
+SwitchingStats compute_stats(const streams::WordSource& source, int threads) {
   obs::Span span("stats.ingest");
   const auto t0 = std::chrono::steady_clock::now();
 
-  source.reset();
-  ChunkFolder folder(width, threads);
-  // WordSource contract: an empty chunk appears exactly once, at
-  // exhaustion. The folder itself also tolerates empty chunks (no seam
-  // update), so a source that hands one out early merely truncates instead
-  // of corrupting the seam chain.
-  for (auto chunk = source.next_chunk(); !chunk.empty(); chunk = source.next_chunk()) {
-    folder.fold(chunk);
-  }
-  const std::uint64_t words_total = folder.words();
+  const auto counts = compute_counts(source.words(), source.width(), threads);
+  const std::uint64_t words_total = counts.words;
 
   if (obs::metrics_enabled()) {
     obs::metric_add("trace.ingest.count");
@@ -77,16 +69,12 @@ SwitchingCounts compute_counts(streams::WordSource& source, std::size_t width, i
     }
     std::ostringstream os;
     os << "\"source\":\"" << source.source() << "\",\"words\":" << words_total
-       << ",\"width\":" << width;
+       << ",\"width\":" << source.width();
     span.set_args(os.str());
   }
   obs::profile_work("words", words_total);
   obs::profile_work("bytes", source.bytes());
-  return folder.counts();
-}
-
-SwitchingStats compute_stats(streams::WordSource& source, std::size_t width, int threads) {
-  return compute_counts(source, width, threads).finalize();
+  return counts.finalize();
 }
 
 }  // namespace tsvcod::stats

@@ -1,25 +1,18 @@
 #pragma once
-// WordSource -> switching statistics: the zero-copy ingestion entry point.
+// Recorded traces -> switching statistics.
 //
-// Chunks from the source feed the chunked bit-plane reduction directly —
-// an mmap'd binary trace goes file pages -> kernel with no intermediate
-// vector. Consecutive chunks are linked by priming each one with the last
-// word of its predecessor (whose one-bits the predecessor already counted),
-// so the merged counts equal the counts of the whole trace exactly and the
-// result is bit-identical to materializing the trace and calling
-// compute_stats on it, at every width and thread count.
-//
-// The seam-chain bookkeeping lives in ChunkFolder so every chunked consumer
-// (batch ingestion here, the per-session accumulators in src/serve) shares
-// one hardened implementation: an empty chunk is a no-op that leaves the
-// seam untouched (naively updating the seam with `chunk.back()` on an empty
-// chunk is undefined behaviour), and a single-word chunk contributes exactly
-// its one transition once the chain is primed.
+// compute_stats(WordSource) hands the whole trace to the chunked bit-plane
+// reduction in one call: an mmap'd binary trace goes file pages -> kernel
+// with no intermediate vector, bit-identical to compute_stats on the
+// materialized vector at every width and thread count. A consumer that
+// receives a stream in pieces (the per-session accumulators in src/serve)
+// folds them through ChunkFolder, which carries the seam word between chunks
+// so the merged counts equal those of the whole stream exactly.
 //
 // Observability (when enabled): deterministic counters
 // trace.ingest.{count,words_total,bytes_total} on the metrics registry, and
 // timing-based trace.ingest.{words_per_sec,bytes_per_sec} samples on the
-// trace counter track.
+// trace counter track, all from compute_stats(WordSource).
 
 #include <span>
 
@@ -85,12 +78,8 @@ class ChunkFolder {
   SwitchingCounts total_;
 };
 
-/// Exact counts of the whole source. The source is reset first. Per the
-/// WordSource contract an empty chunk marks exhaustion; the per-chunk seam
-/// bookkeeping itself is ChunkFolder's and tolerates any chunk size.
-SwitchingCounts compute_counts(streams::WordSource& source, std::size_t width, int threads = 1);
-
-/// finalize()d counts; needs >= 2 words in the source.
-SwitchingStats compute_stats(streams::WordSource& source, std::size_t width, int threads = 1);
+/// finalize()d counts of the whole source at its own width; needs >= 2
+/// words.
+SwitchingStats compute_stats(const streams::WordSource& source, int threads = 1);
 
 }  // namespace tsvcod::stats

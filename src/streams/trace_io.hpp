@@ -9,11 +9,11 @@
 // directive (at most one; save_trace emits it) declares the word count, and
 // a file whose actual count disagrees is rejected as truncated/padded.
 
+#include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
-
-#include "streams/word_stream.hpp"
 
 namespace tsvcod::streams {
 
@@ -25,8 +25,5 @@ std::vector<std::uint64_t> load_trace(const std::string& path);
 
 void save_trace(std::ostream& os, std::span<const std::uint64_t> words);
 void save_trace(const std::string& path, std::span<const std::uint64_t> words);
-
-/// Convenience: load a trace file straight into a replaying stream.
-TraceStream load_trace_stream(const std::string& path, std::size_t width);
 
 }  // namespace tsvcod::streams

@@ -6,41 +6,22 @@
 #include <stdexcept>
 
 #include "streams/trace_io.hpp"
-#include "streams/word_stream.hpp"
 
 namespace tsvcod::streams {
 
-VectorWordSource::VectorWordSource(std::vector<std::uint64_t> words, std::size_t width,
-                                   std::string source)
-    : words_(std::move(words)), width_(width), source_(std::move(source)) {
+WordSource::WordSource(std::vector<std::uint64_t> words, std::size_t width, std::string source)
+    : owned_(std::move(words)), width_(width), source_(std::move(source)) {
   if (width_ == 0 || width_ > 64) {
     throw std::runtime_error("word_source: " + source_ + ": width " + std::to_string(width_) +
                              " out of range [1, 64]");
   }
 }
 
-std::span<const std::uint64_t> VectorWordSource::next_chunk() {
-  if (done_) return {};
-  done_ = true;
-  return words_;
-}
-
-MappedTraceSource::MappedTraceSource(const std::string& path, std::size_t chunk_words)
-    : map_(path), chunk_words_(chunk_words) {}
-
-std::span<const std::uint64_t> MappedTraceSource::next_chunk() {
-  const auto words = map_.words();
-  if (pos_ >= words.size()) return {};
-  const std::size_t take = chunk_words_ == 0 ? words.size() - pos_
-                                             : std::min(chunk_words_, words.size() - pos_);
-  const auto chunk = words.subspan(pos_, take);
-  pos_ += take;
-  return chunk;
-}
+WordSource::WordSource(MappedTrace map) : map_(std::move(map)), width_(map_->header().width) {}
 
 std::unique_ptr<WordSource> open_word_source(const std::string& path, std::size_t width) {
   if (file_looks_like_binary_trace(path)) {
-    auto source = std::make_unique<MappedTraceSource>(path);
+    auto source = std::make_unique<WordSource>(MappedTrace(path));
     if (width != 0 && source->width() != width) {
       std::ostringstream os;
       os << "word_source: " << path << ": binary trace width " << source->width()
@@ -61,17 +42,12 @@ std::unique_ptr<WordSource> open_word_source(const std::string& path, std::size_
        << " bits, wider than the requested width " << width;
     throw std::runtime_error(os.str());
   }
-  return std::make_unique<VectorWordSource>(std::move(words), width, path);
+  return std::make_unique<WordSource>(std::move(words), width, path);
 }
 
-std::vector<std::uint64_t> collect(WordSource& source) {
-  source.reset();
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(source.size()));
-  for (auto chunk = source.next_chunk(); !chunk.empty(); chunk = source.next_chunk()) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  }
-  return out;
+std::vector<std::uint64_t> collect(const WordSource& source) {
+  const auto words = source.words();
+  return {words.begin(), words.end()};
 }
 
 }  // namespace tsvcod::streams

@@ -1,16 +1,18 @@
 #pragma once
-// Uniform chunked access to word traces: text files, binary (.tsvb) files
-// and in-memory vectors all surface as a WordSource, so Link::measure, the
-// CLI and the statistics ingestion path consume any of them identically.
+// A finite recorded trace, whatever file it came from: text files, binary
+// (.tsvb) files and in-memory vectors all surface as one WordSource, so the
+// CLI, the benches and the statistics ingestion path consume any of them
+// identically through words().
 //
 // Unlike WordStream (one word per simulated clock cycle, infinite replay), a
-// WordSource is a *finite recorded trace* handed out as large contiguous
-// spans. Chunks never overlap; the consumer carries the seam word between
-// chunks itself (stats::compute_counts_primed does exactly that), so a
-// source backed by an mmap'd binary trace is consumed zero-copy.
+// WordSource holds the whole trace and hands it out as one contiguous span.
+// A source backed by an mmap'd binary trace aliases the mapped pages, so it
+// is consumed zero-copy. Consumers that receive a trace in pieces fold them
+// through stats::ChunkFolder instead.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,63 +23,40 @@ namespace tsvcod::streams {
 
 class WordSource {
  public:
-  virtual ~WordSource() = default;
+  /// An owned in-memory trace. Throws std::runtime_error naming `source`
+  /// if `width` is outside [1, 64].
+  WordSource(std::vector<std::uint64_t> words, std::size_t width,
+             std::string source = "<memory>");
+  /// A memory-mapped .tsvb trace; width and seed come from its header.
+  explicit WordSource(MappedTrace map);
+
+  // words() aliases this object's own storage, so it stays put.
+  WordSource(const WordSource&) = delete;
+  WordSource& operator=(const WordSource&) = delete;
 
   /// Declared line width in bits (1..64).
-  virtual std::size_t width() const = 0;
+  std::size_t width() const { return width_; }
+  /// The whole trace; valid for the lifetime of the source.
+  std::span<const std::uint64_t> words() const {
+    return map_ ? map_->words() : std::span<const std::uint64_t>(owned_);
+  }
   /// Total words in the trace.
-  virtual std::uint64_t size() const = 0;
-  /// Bytes of backing store (file or vector) — the ingest byte counters.
-  virtual std::uint64_t bytes() const = 0;
+  std::uint64_t size() const { return words().size(); }
+  /// Bytes of backing store (the whole file for .tsvb, 8 per word
+  /// otherwise) — the ingest byte counters.
+  std::uint64_t bytes() const {
+    return map_ ? map_->bytes() : owned_.size() * sizeof(std::uint64_t);
+  }
   /// Human-readable origin for error messages (a path for file sources).
-  virtual const std::string& source() const = 0;
-
-  /// Next contiguous run of words; empty exactly once the trace is
-  /// exhausted. Spans stay valid for the lifetime of the source.
-  virtual std::span<const std::uint64_t> next_chunk() = 0;
-  /// Rewind so next_chunk() starts over from the first word.
-  virtual void reset() = 0;
-};
-
-/// An owned in-memory trace.
-class VectorWordSource final : public WordSource {
- public:
-  VectorWordSource(std::vector<std::uint64_t> words, std::size_t width,
-                   std::string source = "<memory>");
-
-  std::size_t width() const override { return width_; }
-  std::uint64_t size() const override { return words_.size(); }
-  std::uint64_t bytes() const override { return words_.size() * sizeof(std::uint64_t); }
-  const std::string& source() const override { return source_; }
-  std::span<const std::uint64_t> next_chunk() override;
-  void reset() override { done_ = false; }
+  const std::string& source() const { return map_ ? map_->path() : source_; }
+  /// The .tsvb provenance tag; 0 for any other source.
+  std::uint64_t seed() const { return map_ ? map_->header().seed : 0; }
 
  private:
-  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> owned_;
+  std::optional<MappedTrace> map_;
   std::size_t width_;
   std::string source_;
-  bool done_ = false;
-};
-
-/// A memory-mapped .tsvb file. By default the whole payload is one chunk
-/// (maximally parallel, zero-copy); `chunk_words` caps the chunk size, which
-/// the tests use to drive the seam-word priming path hard.
-class MappedTraceSource final : public WordSource {
- public:
-  explicit MappedTraceSource(const std::string& path, std::size_t chunk_words = 0);
-
-  const BinaryTraceHeader& header() const { return map_.header(); }
-  std::size_t width() const override { return map_.header().width; }
-  std::uint64_t size() const override { return map_.words().size(); }
-  std::uint64_t bytes() const override { return map_.bytes(); }
-  const std::string& source() const override { return map_.path(); }
-  std::span<const std::uint64_t> next_chunk() override;
-  void reset() override { pos_ = 0; }
-
- private:
-  MappedTrace map_;
-  std::size_t chunk_words_;
-  std::size_t pos_ = 0;
 };
 
 /// Open `path` as whichever trace format it is: the .tsvb magic selects the
@@ -87,8 +66,8 @@ class MappedTraceSource final : public WordSource {
 /// every text word must fit it. Throws std::runtime_error naming the path.
 std::unique_ptr<WordSource> open_word_source(const std::string& path, std::size_t width = 0);
 
-/// Drain a whole source into a vector (resets it first; used by consumers
-/// that genuinely need random access, e.g. stateful codec encoding).
-std::vector<std::uint64_t> collect(WordSource& source);
+/// Copy a whole source into a vector, for consumers that need to own or
+/// modify the words.
+std::vector<std::uint64_t> collect(const WordSource& source);
 
 }  // namespace tsvcod::streams

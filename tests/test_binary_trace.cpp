@@ -5,14 +5,17 @@
 // path at every width and thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "stats/bitplane.hpp"
 #include "stats/ingest.hpp"
 #include "stats/switching_stats.hpp"
@@ -248,24 +251,31 @@ TEST(MappedTrace, ZeroWordFileOpens) {
   streams::save_binary_trace(path, {}, 12, 0);
   streams::MappedTrace map(path);
   EXPECT_TRUE(map.words().empty());
-  // Statistics of an empty source are rejected at finalize (needs >= 2 words).
-  streams::MappedTraceSource source(path);
-  EXPECT_THROW(stats::compute_stats(source, 12), std::logic_error);
+  // Statistics of an empty source are rejected (needs >= 2 words).
+  const streams::WordSource source{std::move(map)};
+  EXPECT_EQ(source.width(), 12u);
+  EXPECT_THROW(stats::compute_stats(source), std::logic_error);
 }
 
 // --- Chunked ingestion and seam-word priming --------------------------------
 
 TEST(Ingest, ChunkedSourceMatchesWholeTraceBitwise) {
-  // Chunks far smaller than the trace force many seam-word primes, including
-  // seams that land inside 64-word blocks and mid-block tails.
+  // Chunks of the mapped payload far smaller than the trace force many
+  // seam-word primes, including seams that land inside 64-word blocks and
+  // mid-block tails.
   const auto words = make_trace(19, 2113, 13);
   const auto whole = stats::compute_stats(words, 19);
 
   const std::string path = temp_path("chunked.tsvb");
   streams::save_binary_trace(path, words, 19);
+  const streams::MappedTrace map(path);
+  const auto mapped = map.words();
   for (const std::size_t chunk : {1u, 2u, 63u, 64u, 65u, 256u, 1000u}) {
-    streams::MappedTraceSource source(path, chunk);
-    const auto got = stats::compute_stats(source, 19);
+    stats::ChunkFolder folder(19);
+    for (std::size_t pos = 0; pos < mapped.size(); pos += chunk) {
+      folder.fold(mapped.subspan(pos, std::min(chunk, mapped.size() - pos)));
+    }
+    const auto got = folder.stats();
     ASSERT_EQ(got.transitions, whole.transitions) << "chunk=" << chunk;
     for (std::size_t i = 0; i < 19; ++i) {
       ASSERT_EQ(got.prob_one[i], whole.prob_one[i]) << "chunk=" << chunk;
@@ -275,6 +285,49 @@ TEST(Ingest, ChunkedSourceMatchesWholeTraceBitwise) {
             << "chunk=" << chunk << " i=" << i << " j=" << j;
       }
     }
+  }
+}
+
+/// Runs compute_stats(source) with metrics and tracing on and returns the
+/// metrics JSON followed by the trace JSON.
+std::pair<std::string, std::string> observed_ingest(const streams::WordSource& source) {
+  obs::reset_metrics();
+  obs::reset_trace();
+  obs::enable_metrics(true);
+  obs::enable_tracing(true);
+  (void)stats::compute_stats(source);
+  obs::enable_tracing(false);
+  obs::enable_metrics(false);
+  std::pair<std::string, std::string> out{obs::metrics_to_json(), obs::trace_to_json()};
+  obs::reset_metrics();
+  obs::reset_trace();
+  return out;
+}
+
+TEST(Ingest, RecordsCountersAndNamesTheSourceWhenObserved) {
+  const auto words = make_trace(12, 500, 29);
+  const std::string tpath = temp_path("observed.txt");
+  const std::string bpath = temp_path("observed.tsvb");
+  streams::save_trace(tpath, words);
+  streams::save_binary_trace(bpath, words, 12);
+
+  const auto text = streams::open_word_source(tpath, 12);
+  const auto binary = streams::open_word_source(bpath, 12);
+  const streams::WordSource memory(words, 12);
+  // .tsvb sources count the whole file (header included); text and
+  // in-memory sources count 8 bytes per word.
+  const std::string file_bytes = std::to_string(streams::kBinaryTraceHeaderBytes + 8 * 500);
+  const std::vector<std::pair<const streams::WordSource*, std::string>> cases{
+      {text.get(), "4000"}, {binary.get(), file_bytes}, {&memory, "4000"}};
+  for (const auto& [source, bytes] : cases) {
+    const auto [metrics, trace] = observed_ingest(*source);
+    EXPECT_NE(metrics.find("\"trace.ingest.count\":1"), std::string::npos) << metrics;
+    EXPECT_NE(metrics.find("\"trace.ingest.words_total\":500"), std::string::npos) << metrics;
+    EXPECT_NE(metrics.find("\"trace.ingest.bytes_total\":" + bytes), std::string::npos)
+        << source->source() << ": " << metrics;
+    EXPECT_NE(trace.find("\"stats.ingest\""), std::string::npos) << trace;
+    EXPECT_NE(trace.find("\"source\":\"" + source->source() + "\""), std::string::npos)
+        << trace;
   }
 }
 
@@ -309,8 +362,8 @@ TEST(Ingest, MmapMatchesTextVectorPathAtEveryWidthAndThreadCount) {
 
     for (const int threads : {1, 2, 8}) {
       const auto from_text = stats::compute_stats(text_words, width, threads);
-      streams::MappedTraceSource source(bpath);
-      const auto from_mmap = stats::compute_stats(source, width, threads);
+      const streams::WordSource source{streams::MappedTrace(bpath)};
+      const auto from_mmap = stats::compute_stats(source, threads);
       ASSERT_EQ(from_mmap.transitions, from_text.transitions)
           << "width=" << width << " threads=" << threads;
       for (std::size_t i = 0; i < width; ++i) {
@@ -334,7 +387,7 @@ TEST(WordSource, OpensEitherFormat) {
   const std::string tpath = temp_path("sniff.txt");
   const std::string bpath = temp_path("sniff.tsvb");
   streams::save_trace(tpath, words);
-  streams::save_binary_trace(bpath, words, 10);
+  streams::save_binary_trace(bpath, words, 10, 77);
 
   EXPECT_FALSE(streams::file_looks_like_binary_trace(tpath));
   EXPECT_TRUE(streams::file_looks_like_binary_trace(bpath));
@@ -342,6 +395,10 @@ TEST(WordSource, OpensEitherFormat) {
   auto text_source = streams::open_word_source(tpath);
   auto bin_source = streams::open_word_source(bpath);
   EXPECT_EQ(bin_source->width(), 10u);
+  EXPECT_EQ(bin_source->source(), bpath);
+  // Only a .tsvb source carries a provenance seed.
+  EXPECT_EQ(bin_source->seed(), 77u);
+  EXPECT_EQ(text_source->seed(), 0u);
   EXPECT_EQ(streams::collect(*text_source), words);
   EXPECT_EQ(streams::collect(*bin_source), words);
 }
@@ -361,11 +418,13 @@ TEST(WordSource, WidthRules) {
 }
 
 TEST(WordSource, VectorSourceValidatesWidth) {
-  EXPECT_THROW(streams::VectorWordSource({1, 2}, 0), std::runtime_error);
-  EXPECT_THROW(streams::VectorWordSource({1, 2}, 65), std::runtime_error);
-  streams::VectorWordSource source({1, 2, 3}, 2);
-  EXPECT_EQ(streams::collect(source), (std::vector<std::uint64_t>{1, 2, 3}));
-  // collect() resets, so a second drain sees the words again.
+  EXPECT_THROW(streams::WordSource({1, 2}, 0), std::runtime_error);
+  EXPECT_THROW(streams::WordSource({1, 2}, 65), std::runtime_error);
+  const streams::WordSource source({1, 2, 3}, 2);
+  EXPECT_EQ(source.size(), 3u);
+  EXPECT_EQ(source.bytes(), 3u * sizeof(std::uint64_t));
+  EXPECT_EQ(source.seed(), 0u);
+  EXPECT_EQ(source.source(), "<memory>");
   EXPECT_EQ(streams::collect(source), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI bench gate: build, run the tier-1 test suite, re-run the quick bench
+# CI bench gate: build (the library, tools and tests, plus the perfbench
+# end-to-end benchmark binary), run the tier-1 test suite, re-run the quick bench
 # configurations and diff them against the committed BENCH_*.json baselines
 # with tsvcod_benchdiff.
 #
@@ -21,6 +22,15 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   cmake -B "$BUILD" -S "$REPO" -DCMAKE_BUILD_TYPE=Release
 fi
 cmake --build "$BUILD" -j
+
+echo "== perfbench build =="
+# perfbench/ is its own CMake project over the same src/ tree (configured the
+# way perfbench/run.py does it), so a library header change that breaks the
+# end-to-end benchmark fails here instead of only when the benchmark runs.
+if [ ! -f "$BUILD/perfbench/CMakeCache.txt" ]; then
+  cmake -S "$REPO/perfbench" -B "$BUILD/perfbench" -DCMAKE_BUILD_TYPE=Release
+fi
+cmake --build "$BUILD/perfbench" --target tsvcod_perfbench -j"$(nproc)"
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"

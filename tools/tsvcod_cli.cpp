@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -67,24 +68,37 @@ std::optional<coding::CodecSpec> codec_from(const Args& args) {
   return spec;
 }
 
-/// Statistics of the trace as seen on the TSV lines: raw words when no codec
-/// is configured (consumed straight from the source — zero-copy for an
-/// mmap'd binary trace), else the trace pushed through the encoder sized so
-/// its output occupies the array exactly.
-stats::SwitchingStats line_stats_from(const Args& args, const core::Link& link,
-                                      streams::WordSource& source, int threads) {
+/// The --codec encoder, sized so its output occupies the array exactly; null
+/// without --codec.
+std::unique_ptr<coding::Codec> line_codec_from(const Args& args, const core::Link& link) {
   const auto spec = codec_from(args);
-  if (!spec) return stats::compute_stats(source, link.width(), threads);
-  const auto codec = coding::make_codec_for_lines(*spec, link.width());
+  if (!spec) return nullptr;
+  auto codec = coding::make_codec_for_lines(*spec, link.width());
   std::printf("codec                    : %s (%zu payload bits -> %zu lines)\n",
               spec->name.c_str(), codec->width_in(), codec->width_out());
-  // Encoding is stateful and stays sequential, so it genuinely needs the
-  // materialized trace; the statistics reduction of the encoded trace still
-  // goes through the chunked bit-plane kernel.
-  const auto words = streams::collect(source);
-  std::vector<std::uint64_t> coded(words.size());
-  for (std::size_t i = 0; i < words.size(); ++i) coded[i] = codec->encode(words[i]);
-  return stats::compute_stats(coded, link.width(), threads);
+  return codec;
+}
+
+/// Open --trace at the width of the words it carries: the array width, or the
+/// codec's payload width with a codec, so the width rules of
+/// open_word_source apply to the payload.
+std::unique_ptr<streams::WordSource> open_trace(const Args& args, const core::Link& link,
+                                                const coding::Codec* codec) {
+  auto source = streams::open_word_source(args.str("trace"),
+                                          codec ? codec->width_in() : link.width());
+  if (source->size() < 2) throw std::runtime_error("trace too short");
+  return source;
+}
+
+/// Statistics of the trace as seen on the TSV lines: the payload itself
+/// without a codec (zero-copy for an mmap'd binary trace), else the payload
+/// pushed through the encoder in one block.
+stats::SwitchingStats line_stats_from(const streams::WordSource& source, coding::Codec* codec,
+                                      int threads) {
+  if (!codec) return stats::compute_stats(source, threads);
+  std::vector<std::uint64_t> coded(source.size());
+  codec->encode_block(source.words(), coded);
+  return stats::compute_stats(coded, codec->width_out(), threads);
 }
 
 field::Preconditioner preconditioner_from(const Args& args) {
@@ -134,10 +148,10 @@ int cmd_extract(const Args& args) {
 int cmd_optimize(const Args& args) {
   const auto geom = geometry_from(args);
   const core::Link link(geom, model_from(args));
-  const auto source = streams::open_word_source(args.str("trace"), link.width());
-  if (source->size() < 2) throw std::runtime_error("trace too short");
+  const auto codec = line_codec_from(args, link);
+  const auto source = open_trace(args, link, codec.get());
   const int threads = threads_from(args);
-  const auto st = line_stats_from(args, link, *source, threads);
+  const auto st = line_stats_from(*source, codec.get(), threads);
 
   core::OptimizeOptions opts;
   opts.seed = static_cast<unsigned>(args.size_or("seed", 1));
@@ -179,9 +193,9 @@ int cmd_optimize(const Args& args) {
 int cmd_evaluate(const Args& args) {
   const auto geom = geometry_from(args);
   const core::Link link(geom, model_from(args));
-  const auto source = streams::open_word_source(args.str("trace"), link.width());
-  if (source->size() < 2) throw std::runtime_error("trace too short");
-  const auto st = line_stats_from(args, link, *source, threads_from(args));
+  const auto codec = line_codec_from(args, link);
+  const auto source = open_trace(args, link, codec.get());
+  const auto st = line_stats_from(*source, codec.get(), threads_from(args));
   const auto a = core::load_assignment(args.str("assignment"));
   const auto base = core::random_assignment_power(st, link.model());
   const double p = link.power(st, a);
@@ -192,15 +206,13 @@ int cmd_evaluate(const Args& args) {
   if (const auto spec = codec_from(args)) {
     // Correctness half of the claim: every payload word must survive the
     // full encode -> assign -> lines -> unassign -> decode chain.
-    const auto words = streams::collect(*source);
-    auto coded = link.coded(*spec, a);
-    const std::uint64_t payload_mask = streams::width_mask(coded.payload_width());
-    for (std::size_t k = 0; k < words.size(); ++k) {
-      const std::uint64_t w = words[k] & payload_mask;
-      const std::uint64_t got = coded.roundtrip(w);
-      if (got != w) {
-        throw std::runtime_error("coded round-trip FAILED at word " + std::to_string(k));
-      }
+    const auto words = source->words();
+    std::vector<std::uint64_t> received(words.size());
+    link.coded(*spec, a).roundtrip_block(words, received);
+    const auto bad = std::mismatch(words.begin(), words.end(), received.begin()).first;
+    if (bad != words.end()) {
+      throw std::runtime_error("coded round-trip FAILED at word " +
+                               std::to_string(bad - words.begin()));
     }
     std::printf("coded round-trip         : OK (%zu words through %s)\n", words.size(),
                 spec->name.c_str());
@@ -258,25 +270,16 @@ int cmd_convert(const Args& args) {
   // through the hardened parser, a binary input through the mmap reader.
   const auto source = streams::open_word_source(in, args.size_or("width", 0));
   if (to == "text") {
-    const auto words = streams::collect(*source);
-    streams::save_trace(out, words);
-    std::printf("wrote %zu words (width %zu) to %s (text)\n", words.size(), source->width(),
-                out.c_str());
+    streams::save_trace(out, source->words());
+    std::printf("wrote %zu words (width %zu) to %s (text)\n",
+                static_cast<std::size_t>(source->size()), source->width(), out.c_str());
     return 0;
   }
 
   // Provenance seed: keep a binary input's, unless overridden.
-  std::uint64_t seed = 0;
-  if (const auto* m = dynamic_cast<const streams::MappedTraceSource*>(source.get())) {
-    seed = m->header().seed;
-  }
-  if (args.has("seed")) seed = args.size("seed");
-
+  const std::uint64_t seed = args.has("seed") ? args.size("seed") : source->seed();
   streams::BinaryTraceWriter writer(out, source->width(), seed);
-  source->reset();
-  for (auto chunk = source->next_chunk(); !chunk.empty(); chunk = source->next_chunk()) {
-    writer.write(chunk);
-  }
+  writer.write(source->words());
   writer.close();
   std::printf("wrote %llu words (width %zu, seed %llu) to %s (.tsvb binary)\n",
               static_cast<unsigned long long>(writer.written()), source->width(),
