@@ -31,27 +31,15 @@ void run(const char* name, const std::vector<std::uint64_t>& words, const core::
   no_inv.allow_inversions = false;
   const auto reorder_only = core::optimize_assignment(st, link.model(), no_inv);
 
-  // MOS-blind objective: optimize against the fixed C_R matrix, then price
-  // the found assignment with the full probability-aware model.
-  const phys::Matrix c_fixed = link.model().c_ref();
-  std::mt19937_64 rng(opts.seed);
-  const auto energy = [&](const core::SignedPermutation& a) {
-    return core::assignment_power_fixed_c(st, a, c_fixed);
-  };
-  const auto neighbor = [&](const core::SignedPermutation& a, std::mt19937_64& r) {
-    auto next = a;
-    std::uniform_int_distribution<std::size_t> pick(0, st.width - 1);
-    if (r() % 3 == 0) {
-      next.toggle_inversion(pick(r));
-    } else {
-      next.swap_bits(pick(r), pick(r));
-    }
-    return next;
-  };
-  const auto mos_blind =
-      opt::anneal(core::SignedPermutation::identity(st.width), energy, neighbor,
-                  opts.schedule, rng);
-  const double mos_blind_power = core::assignment_power(st, mos_blind, link.model());
+  // MOS-blind objective: optimize against the fixed C_R matrix (a model
+  // with zero Delta C), then price the found assignment with the full
+  // probability-aware model. Same search engine as "full"; only the
+  // objective differs.
+  const phys::Matrix& c_ref = link.model().c_ref();
+  const tsv::LinearCapacitanceModel mos_blind_model(c_ref,
+                                                    phys::Matrix(c_ref.rows(), c_ref.cols()));
+  const auto mos_blind = core::optimize_assignment(st, mos_blind_model, opts);
+  const double mos_blind_power = core::assignment_power(st, mos_blind.assignment, link.model());
 
   std::printf("%-24s full %5.1f %%   no-inversions %5.1f %%   MOS-blind %5.1f %%\n", name,
               core::reduction_pct(base.mean, full.power),

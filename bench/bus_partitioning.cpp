@@ -30,14 +30,13 @@ stats::SwitchingStats make_bus_stats(double rho) {
   std::mt19937_64 rng(7);
   std::shuffle(scramble.begin(), scramble.end(), rng);
 
-  stats::BitplaneAccumulator acc(32);
-  for (int t = 0; t < 60000; ++t) {
+  std::vector<std::uint64_t> words(60000);
+  for (auto& bus : words) {
     const std::uint64_t w = a.next() | (b.next() << 16);
-    std::uint64_t bus = 0;
+    bus = 0;
     for (std::size_t k = 0; k < 32; ++k) bus |= ((w >> k) & 1u) << scramble[k];
-    acc.add(bus);
   }
-  return acc.finish();
+  return stats::compute_stats(words, 32, 1);
 }
 
 }  // namespace

@@ -26,9 +26,7 @@ namespace {
 
 stats::SwitchingStats make_stats(std::size_t width) {
   streams::SequentialStream src(width, 0.05, 3);
-  stats::BitplaneAccumulator acc(width);
-  for (int i = 0; i < 20000; ++i) acc.add(src.next());
-  return acc.finish();
+  return stats::compute_stats(streams::collect(src, 20000), width, 1);
 }
 
 void BM_AssignmentPowerEval(benchmark::State& state) {

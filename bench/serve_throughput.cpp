@@ -21,7 +21,7 @@
 #include "phys/tsv_geometry.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
-#include "stats/ingest.hpp"
+#include "stats/bitplane.hpp"
 
 using namespace tsvcod;
 
@@ -58,12 +58,6 @@ std::vector<std::uint64_t> traffic(unsigned seed, std::size_t n, std::size_t pha
     words.push_back(prev);
   }
   return words;
-}
-
-stats::SwitchingCounts batch_counts(std::span<const std::uint64_t> words, std::size_t width) {
-  stats::ChunkFolder folder(width);
-  folder.fold(words);
-  return folder.counts();
 }
 
 bool counts_identical(const stats::SwitchingCounts& a, const stats::SwitchingCounts& b) {
@@ -117,7 +111,7 @@ ThroughputRow run_throughput(int sessions, std::size_t width, std::size_t words_
       const auto snap = server.session_stats(static_cast<std::uint64_t>(s));
       row.desyncs += snap.desyncs;
       if (!counts_identical(snap.longrun,
-                            batch_counts(streams[static_cast<std::size_t>(s)], width))) {
+                            stats::compute_counts(streams[static_cast<std::size_t>(s)], width, 1))) {
         row.bit_identical = false;
       }
     }
@@ -159,7 +153,7 @@ SwapRow run_swap(std::size_t words_total, std::size_t batch) {
   }
   const auto snap = server.session_stats(1);
   row.desyncs = snap.desyncs;
-  row.bit_identical = counts_identical(snap.longrun, batch_counts(all, 8));
+  row.bit_identical = counts_identical(snap.longrun, stats::compute_counts(all, 8, 1));
   return row;
 }
 

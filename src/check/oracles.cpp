@@ -456,12 +456,15 @@ std::string describe_eval_case(const EvalCase& ec) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 3: BitplaneAccumulator vs a naive O(N * w^2) reference.
+// Oracle 3: ChunkFolder and compute_stats vs a naive O(N * w^2) reference.
 // ---------------------------------------------------------------------------
 
 struct StatsCase {
   std::size_t width = 1;
   std::vector<std::uint64_t> words;
+  /// Seeds the fold leg's chunk/window plan, which is re-derived from the
+  /// current word list, so shrinking the words never invalidates it.
+  std::uint64_t fold_seed = 0;
 };
 
 StatsCase gen_stats_case(Rng& rng) {
@@ -476,6 +479,7 @@ StatsCase gen_stats_case(Rng& rng) {
     case 2: sc.words = gen_trace(rng, sc.width, 64 + 64 * rng.below(4) + rng.below(3)); break;
     default: sc.words = gen_trace(rng, sc.width, 2 + rng.below(300)); break;
   }
+  sc.fold_seed = rng.u64();
   return sc;
 }
 
@@ -507,7 +511,7 @@ std::optional<std::string> stats_bitwise_diff(const stats::SwitchingStats& a,
 std::optional<std::string> check_stats_case(const StatsCase& sc) {
   const std::size_t w = sc.width;
   // Naive reference: recompute every statistic from scratch per transition,
-  // O(N * w^2), with the exact divisions of BitplaneAccumulator::finish() — the
+  // O(N * w^2), with the exact divisions of SwitchingCounts::finalize() — the
   // counts are small integers held in doubles, so both paths are exact and
   // the comparison is bitwise.
   std::vector<double> ones(w, 0.0), self(w, 0.0);
@@ -530,12 +534,13 @@ std::optional<std::string> check_stats_case(const StatsCase& sc) {
   const double nt = static_cast<double>(sc.words.size() - 1);
   const double nw = static_cast<double>(sc.words.size());
 
-  stats::BitplaneAccumulator acc(w);
-  for (const auto word : sc.words) acc.add(word);
-  if (acc.samples() != sc.words.size()) return "samples() disagrees with word count";
-  const stats::SwitchingStats got = acc.finish();
-  if (got.width != w) return "finish() width mismatch";
-  if (got.transitions != sc.words.size() - 1) return "finish() transition count mismatch";
+  // Per-word folding, as the NoC's per-link tracking does it.
+  stats::ChunkFolder acc(w);
+  for (const auto& word : sc.words) acc.fold({&word, 1});
+  if (acc.words() != sc.words.size()) return "words() disagrees with word count";
+  const stats::SwitchingStats got = acc.stats();
+  if (got.width != w) return "stats() width mismatch";
+  if (got.transitions != sc.words.size() - 1) return "stats() transition count mismatch";
 
   const auto fail = [&](const char* what, std::size_t i, std::size_t j, double g, double want) {
     std::ostringstream os;
@@ -567,6 +572,36 @@ std::optional<std::string> check_stats_case(const StatsCase& sc) {
       return "threads=" + std::to_string(threads) + " " + *diff;
     }
   }
+
+  // Fold leg: a prefix of the words, then reset(), then the whole word list
+  // in a random chunk partition (empty and 1-word chunks included) with
+  // random reset_window() boundaries. The merged window counts must equal
+  // the whole stream's: reset() forgets the prefix's seam, every window
+  // boundary carries it.
+  Rng plan(sc.fold_seed);
+  const std::span<const std::uint64_t> all(sc.words);
+  stats::ChunkFolder folder(w);
+  folder.fold(all.first(plan.below(all.size() + 1)));
+  folder.reset();
+  stats::SwitchingCounts merged(w);
+  for (std::size_t offset = 0; offset < all.size();) {
+    std::size_t take = 0;
+    switch (plan.below(4)) {
+      case 0: break;
+      case 1: take = 1; break;
+      default: take = plan.range(2, 150); break;
+    }
+    take = std::min(take, all.size() - offset);
+    folder.fold(all.subspan(offset, take));
+    offset += take;
+    if (plan.chance(0.3)) {
+      merged.merge(folder.counts());
+      folder.reset_window();
+    }
+  }
+  merged.merge(folder.counts());
+  if (merged.words != all.size()) return "fold leg: merged windows disagree with word count";
+  if (auto diff = stats_bitwise_diff(merged.finalize(), got, "fold leg")) return *diff;
   return std::nullopt;
 }
 
@@ -592,7 +627,8 @@ std::vector<StatsCase> shrink_stats_case(const StatsCase& sc) {
 }
 
 std::string describe_stats_case(const StatsCase& sc) {
-  return "width=" + std::to_string(sc.width) + " words=" + hex_words(sc.words);
+  return "width=" + std::to_string(sc.width) + " fold_seed=" + std::to_string(sc.fold_seed) +
+         " words=" + hex_words(sc.words);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@
 //   evaluator_drift   incremental PowerEvaluator move chains vs the dense
 //                     O(N^2) assignment_power(), drift bounded at the scale of
 //                     float epsilon times the absolute term mass.
-//   stats_reference   BitplaneAccumulator vs a naive O(N * w^2)
+//   stats_reference   per-word ChunkFolder folds vs a naive O(N * w^2)
 //                     recomputation (exact: both sums are integer-valued),
 //                     plus chunked parallel compute_stats at several thread
-//                     counts (bitwise identical, block tails included).
+//                     counts (bitwise identical, block tails included) and a
+//                     fold leg: random chunk partitions with empty and 1-word
+//                     chunks, random reset_window() boundaries merged, and a
+//                     reset() after a discarded prefix.
 //   field_consistency Jacobi- vs multigrid-preconditioned BiCGStab vs a dense
 //                     complex LU factorization of the same operator, on random
 //                     conductor layouts.

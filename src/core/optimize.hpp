@@ -12,12 +12,22 @@
 
 #include "core/assignment.hpp"
 #include "core/power.hpp"
-#include "opt/annealing.hpp"
 
 namespace tsvcod::core {
 
+/// Simulated-annealing schedule of every chain (paper Sec. 3: "we exemplary
+/// use simulated annealing to determine the optimal mapping"). The
+/// temperature ladder auto-calibrates from sampled move deltas when
+/// `t_start <= 0`; each restart begins from the best state seen so far.
+struct AnnealingSchedule {
+  int iterations = 20000;   ///< moves per restart
+  int restarts = 3;
+  double t_start = -1.0;    ///< <= 0: auto-calibrate from sampled deltas
+  double t_ratio = 1e-4;    ///< t_end = t_start * t_ratio (geometric cooling)
+};
+
 struct OptimizeOptions {
-  opt::AnnealingSchedule schedule{};
+  AnnealingSchedule schedule{};
   bool allow_inversions = true;
   /// Per-bit inversion permission (power/ground lines must stay upright).
   /// Empty = all bits invertible (if allow_inversions).

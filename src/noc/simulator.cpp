@@ -209,7 +209,7 @@ void NocSimulator::phase_arbitrate(std::size_t begin, std::size_t end, std::size
         const std::size_t slot = link_slot(r, static_cast<Direction>(out));
         const std::uint32_t v = vstat_of_slot_[slot];
         if (v == kNoStat) continue;
-        vstats_[v].add(coded_attached_ ? link_last_line_[slot] : link_last_word_[slot]);
+        vstats_[v].fold({coded_attached_ ? &link_last_line_[slot] : &link_last_word_[slot], 1});
       }
     }
     if (probing_ && r == probe_router_) {
@@ -440,7 +440,7 @@ std::vector<stats::SwitchingStats> NocSimulator::vertical_link_stats() const {
   }
   std::vector<stats::SwitchingStats> out;
   out.reserve(vstats_.size());
-  for (const auto& acc : vstats_) out.push_back(acc.finish());
+  for (const auto& acc : vstats_) out.push_back(acc.stats());
   return out;
 }
 

@@ -5,7 +5,7 @@
 // branch — cheap enough to leave in every hot loop (bench/obs_overhead
 // measures it).
 //
-// Tracing (`Span`, `instant`, `counter`) appends to per-thread buffers: a
+// Tracing (`Span`, `counter`) appends to per-thread buffers: a
 // worker only ever touches its own buffer (one uncontended per-buffer mutex,
 // never shared between workers), so tracing composes with `opt::parallel_for`
 // without serializing the pool. `trace_to_json()` merges the buffers into a
@@ -196,9 +196,6 @@ class Span {
   bool active_ = false;
   bool traced_ = false;
 };
-
-/// Thread-scoped instant event ("i").
-void instant(const char* name, std::string args_body = {});
 
 /// Counter-track sample ("C"): one named value-over-time track per name.
 void counter(const char* name, double value);

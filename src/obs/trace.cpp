@@ -238,16 +238,6 @@ void Span::end() {
   traced_ = false;
 }
 
-void instant(const char* name, std::string args_body) {
-  if (!trace_enabled()) return;
-  Event ev;
-  ev.name = name;
-  ev.args = std::move(args_body);
-  ev.ts_us = now_us();
-  ev.ph = 'i';
-  push_event(std::move(ev));
-}
-
 void counter(const char* name, double value) {
   if (!trace_enabled()) return;
   counter(std::string(name), value);
@@ -302,10 +292,6 @@ std::string trace_to_json() {
     switch (ev.ph) {
       case 'X':
         out += ",\"dur\":" + std::to_string(ev.dur_us);
-        if (!ev.args.empty()) out += ",\"args\":{" + ev.args + "}";
-        break;
-      case 'i':
-        out += ",\"s\":\"t\"";
         if (!ev.args.empty()) out += ",\"args\":{" + ev.args + "}";
         break;
       case 'C':

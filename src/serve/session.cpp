@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "obs/profile.hpp"
 
 namespace tsvcod::serve {
 
@@ -114,12 +115,13 @@ Session::Session(std::uint64_t id, SessionConfig config)
       config_(validated(std::move(config))),
       link_(build_link(config_)),
       longrun_(config_.width),
-      window_(config_.width, config_.stats_threads) {}
+      window_(config_.width) {}
 
 bool Session::window_boundary_locked(IngestResult& out) {
   ++windows_;
-  const stats::SwitchingStats window_stats = window_.counts().finalize();
-  longrun_.merge(window_.counts());
+  const stats::SwitchingCounts window_counts = window_.counts();
+  const stats::SwitchingStats window_stats = window_counts.finalize();
+  longrun_.merge(window_counts);
   const stats::SwitchingStats longrun_stats = longrun_.finalize();
   const double drift = drift_metric(window_stats, longrun_stats);
   last_drift_ = drift;
@@ -166,7 +168,11 @@ Session::IngestResult Session::ingest(std::span<const std::uint64_t> words) {
     received_.resize(take);
     link_.roundtrip_block(chunk, received_);
     for (std::size_t i = 0; i < take; ++i) desyncs_ += received_[i] != (chunk[i] & mask);
-    window_.fold(chunk);
+    {
+      obs::Span fold_span("stats.fold");
+      window_.fold(chunk);
+      obs::profile_work("words", take);
+    }
     words_ += take;
     offset += take;
 

@@ -39,7 +39,7 @@
 #include "coding/factory.hpp"
 #include "core/coded_link.hpp"
 #include "core/optimize.hpp"
-#include "stats/ingest.hpp"
+#include "stats/bitplane.hpp"
 #include "tsv/linear_model.hpp"
 
 namespace tsvcod::serve {
@@ -69,8 +69,6 @@ struct SessionConfig {
   DriftOptions drift{};
   /// Re-anneal budget (iterations, chains, seed, threads).
   core::OptimizeOptions optimize{};
-  /// Threads for the per-chunk statistics reduction (0 = TSVCOD_THREADS).
-  int stats_threads = 1;
 };
 
 /// Point-in-time copy of a session's counters and long-run statistics.

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
@@ -297,86 +298,61 @@ SwitchingStats SwitchingCounts::finalize() const {
   return s;
 }
 
-BitplaneAccumulator::BitplaneAccumulator(std::size_t width)
+ChunkFolder::ChunkFolder(std::size_t width)
     : width_(width), mask_(mask_of(width)), counts_(width) {
   if (width == 0 || width > 64) {
-    throw std::invalid_argument("BitplaneAccumulator: width must be in [1, 64]");
+    throw std::invalid_argument("ChunkFolder: width must be in [1, 64], got " +
+                                std::to_string(width));
   }
 }
 
-void BitplaneAccumulator::prime(std::uint64_t word) {
-  if (samples_ != 0 || primed_) {
-    // Name the exact state so the misuse is diagnosable: priming after a
-    // windowed reset (primed, zero samples) used to be indistinguishable
-    // from priming mid-stream, and silently overwriting the carried seam
-    // word mis-counts every transition of the new window.
-    std::ostringstream os;
-    os << "BitplaneAccumulator::prime: stream already started (";
-    if (primed_ && samples_ == 0) {
-      os << "already primed with a seam word — e.g. by reset_window(), which "
-            "carries the previous window's last word over";
-    } else {
-      os << samples_ << " words consumed" << (primed_ ? ", primed" : "");
-    }
-    os << "; " << n_ << " buffered transitions, width " << width_
-       << "). prime() is only valid on a fresh or fully reset() accumulator.";
-    throw std::logic_error(os.str());
-  }
-  prev_ = word & mask_;
-  block_prev_ = prev_;
-  primed_ = true;
-}
-
-void BitplaneAccumulator::reset() {
+void ChunkFolder::reset() {
   counts_ = SwitchingCounts(width_);
-  samples_ = 0;
-  primed_ = false;
-  prev_ = 0;
+  words_ = 0;
+  started_ = false;
   block_prev_ = 0;
   n_ = 0;
-  blocks_ = 0;
 }
 
-void BitplaneAccumulator::reset_window() {
-  if (samples_ == 0 && !primed_) return;  // no stream yet: nothing to carry
+void ChunkFolder::reset_window() {
+  if (!started_) return;  // no stream yet: nothing to carry
+  // The seam (last word folded) becomes the word preceding the new window's
+  // first block; its one-bits stay owned by the window that folded it.
+  if (n_ != 0) block_prev_ = block_[n_ - 1];
   counts_ = SwitchingCounts(width_);
-  samples_ = 0;
+  words_ = 0;
   n_ = 0;
-  blocks_ = 0;
-  // Continue the chain: the last word seen becomes the new window's seam
-  // word (primed, its ones already owned by the previous window).
-  block_prev_ = prev_;
-  primed_ = true;
 }
 
-void BitplaneAccumulator::add(std::uint64_t word) {
+void ChunkFolder::fold_word(std::uint64_t word) {
   word &= mask_;
-  if (samples_ == 0 && !primed_) {
-    // First word: its bits count toward `ones`, but there is no transition
-    // yet, so it never enters a block.
+  ++words_;
+  if (!started_) {
+    // First word of the stream: its bits count toward `ones`, but there is
+    // no transition yet, so it never enters a block.
     for (std::uint64_t v = word; v != 0; v &= v - 1) {
       ++counts_.ones[static_cast<std::size_t>(std::countr_zero(v))];
     }
     ++counts_.words;
-    prev_ = word;
     block_prev_ = word;
-    samples_ = 1;
+    started_ = true;
     return;
   }
   block_[n_++] = word;
-  prev_ = word;
-  ++samples_;
-  if (n_ == 64) flush_block();
+  if (n_ == 64) {
+    flush_from(block_);
+    n_ = 0;
+  }
 }
 
-void BitplaneAccumulator::add(std::span<const std::uint64_t> words) {
+void ChunkFolder::fold(std::span<const std::uint64_t> chunk) {
   std::size_t k = 0;
-  const std::size_t n = words.size();
+  const std::size_t n = chunk.size();
   while (k < n) {
     // On a block boundary with a full block available, reduce straight from
     // the caller's buffer instead of staging 64 words through block_.
-    if (n_ == 0 && (samples_ > 0 || primed_) && n - k >= 64) {
-      const std::uint64_t* src = words.data() + k;
+    if (n_ == 0 && started_ && n - k >= 64) {
+      const std::uint64_t* src = chunk.data() + k;
       if (mask_ == ~std::uint64_t{0}) {
         flush_from(src);
       } else {
@@ -384,32 +360,25 @@ void BitplaneAccumulator::add(std::span<const std::uint64_t> words) {
         for (std::size_t t = 0; t < 64; ++t) masked[t] = src[t] & mask_;
         flush_from(masked);
       }
-      samples_ += 64;
+      words_ += 64;
       k += 64;
     } else {
-      add(words[k++]);
+      fold_word(chunk[k++]);
     }
   }
 }
 
-void BitplaneAccumulator::flush_block() {
-  flush_from(block_);
-  n_ = 0;
-}
-
-void BitplaneAccumulator::flush_from(const std::uint64_t* block) {
+void ChunkFolder::flush_from(const std::uint64_t* block) {
   block_fn()(width_, block, block_prev_, counts_);
   counts_.words += 64;
   counts_.transitions += 64;
   block_prev_ = block[63];
-  prev_ = block_prev_;
-  ++blocks_;
   if (obs::metrics_enabled()) obs::metric_add("stats.bitplane.blocks_total");
 }
 
-SwitchingCounts BitplaneAccumulator::counts() const {
+SwitchingCounts ChunkFolder::counts() const {
   SwitchingCounts out = counts_;
-  // Scalar tail: the buffered partial block (and thereby every < 64 word
+  // Scalar tail: the staged partial block (and thereby every < 64 word
   // stream). Walking set bits keeps even the tail O(toggles) per word.
   std::uint64_t before = block_prev_;
   for (std::size_t t = 0; t < n_; ++t) {
@@ -437,78 +406,62 @@ SwitchingCounts BitplaneAccumulator::counts() const {
 
 SwitchingCounts compute_counts(std::span<const std::uint64_t> words, std::size_t width,
                                int threads) {
-  if (words.size() < 2 && !(width == 0 || width > 64)) {
-    throw_too_few_words(width, words.size());
-  }
-  return compute_counts_primed(false, 0, words, width, threads);
-}
-
-SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
-                                      std::span<const std::uint64_t> words, std::size_t width,
-                                      int threads) {
   if (width == 0 || width > 64) {
     throw std::invalid_argument("compute_counts: width must be in [1, 64]");
   }
-  if (words.empty()) return SwitchingCounts(width);
+  if (words.size() < 2) throw_too_few_words(width, words.size());
 
   obs::Span span("stats.compute");
-  const auto t0 = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point t0;
+  if (span.traced()) t0 = std::chrono::steady_clock::now();
 
-  // Virtual word sequence S: the prime word (when primed) followed by
-  // `words`. Transition t is S[t] -> S[t+1]; only unprimed chunk 0 counts
-  // S[0]'s one-bits, matching the streaming accumulator exactly.
-  const std::size_t transitions = words.size() - (primed ? 0 : 1);
-  // One chunk per resolved thread, but never so many that a chunk drops
-  // below a useful run of blocks; the merge is exact, so the chunk count
-  // only affects speed, never the result.
+  // Transition t is words[t] -> words[t+1]. One chunk per resolved thread,
+  // but never so many that a chunk drops below a useful run of blocks; the
+  // merge is exact, so the chunk count only affects speed, never the result.
+  const std::size_t transitions = words.size() - 1;
   constexpr std::size_t min_chunk_transitions = 1024;
   const std::size_t k = static_cast<std::size_t>(std::max(1, opt::resolve_threads(threads)));
   const std::size_t chunks =
       std::clamp<std::size_t>(transitions / min_chunk_transitions, 1, k);
 
-  // Chunk c owns transitions [tb, te): it is primed with the seam word
-  // S[tb] (whose bits were already counted upstream) and then consumes
-  // S(tb, te]. Ones and transitions both partition exactly.
-  const auto run_chunk = [&](BitplaneAccumulator& acc, std::size_t tb, std::size_t te) {
-    if (primed) {
-      acc.prime(tb == 0 ? prime : words[tb - 1]);
-      acc.add(words.subspan(tb, te - tb));
-    } else {
-      if (tb == 0) {
-        acc.add(words[0]);
-      } else {
-        acc.prime(words[tb]);
+  // Chunk c owns transitions [tb, te), i.e. it folds words[tb..te]. Its seam
+  // word words[tb] ends chunk c-1, which already counted its one-bits, so
+  // they are taken off again: ones and transitions both partition exactly.
+  // Every chunk folds its first word alone and then whole blocks from the
+  // caller's buffer, so it flushes (te - tb) / 64 blocks and leaves the rest
+  // to the scalar tail.
+  const auto first = [&](std::size_t c) { return transitions * c / chunks; };
+  const auto chunk_counts = [&](std::size_t c) {
+    const std::size_t tb = first(c);
+    const std::size_t te = first(c + 1);
+    ChunkFolder folder(width);
+    folder.fold(words.subspan(tb, te - tb + 1));
+    SwitchingCounts counts = folder.counts();
+    if (tb != 0) {
+      for (std::uint64_t v = words[tb] & mask_of(width); v != 0; v &= v - 1) {
+        --counts.ones[static_cast<std::size_t>(std::countr_zero(v))];
       }
-      acc.add(words.subspan(tb + 1, te - tb));
+      --counts.words;
     }
+    return counts;
   };
 
-  std::uint64_t blocks = 0;
-  std::uint64_t tail_words = 0;
   SwitchingCounts total(width);
   if (chunks == 1) {
-    BitplaneAccumulator acc(width);
-    run_chunk(acc, 0, transitions);
-    total = acc.counts();
-    blocks = acc.blocks_flushed();
-    tail_words = acc.pending();
+    total = chunk_counts(0);
   } else {
     std::vector<SwitchingCounts> partial(chunks);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> meta(chunks);
-    opt::parallel_for(chunks, static_cast<int>(k), [&](std::size_t c) {
-      const std::size_t tb = transitions * c / chunks;
-      const std::size_t te = transitions * (c + 1) / chunks;
-      BitplaneAccumulator acc(width);
-      run_chunk(acc, tb, te);
-      partial[c] = acc.counts();
-      meta[c] = {acc.blocks_flushed(), acc.pending()};
-    });
+    opt::parallel_for(chunks, static_cast<int>(k),
+                      [&](std::size_t c) { partial[c] = chunk_counts(c); });
     total = std::move(partial[0]);
     for (std::size_t c = 1; c < chunks; ++c) total.merge(partial[c]);
-    for (const auto& [b, p] : meta) {
-      blocks += b;
-      tail_words += p;
-    }
+  }
+  std::uint64_t blocks = 0;
+  std::uint64_t tail_words = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t chunk_transitions = first(c + 1) - first(c);
+    blocks += chunk_transitions / 64;
+    tail_words += chunk_transitions % 64;
   }
 
   if (obs::metrics_enabled()) {

@@ -28,8 +28,9 @@
 // bit* (and stays exact past the 2^53 limit where doubles would start to
 // round). Exact integer counts also make merging associative, which is what
 // `compute_counts` exploits to chunk a trace across the shared thread pool
-// (chunks overlap one word at the seam so transitions partition exactly) with
-// results that are bit-identical at every thread count.
+// (chunks overlap one word at the seam so transitions partition exactly) and
+// what lets `ChunkFolder`'s tumbling windows merge back to the whole stream,
+// with results that are bit-identical at every thread count and partition.
 
 #include <cstdint>
 #include <span>
@@ -67,81 +68,63 @@ struct SwitchingCounts {
   SwitchingStats finalize() const;
 };
 
-/// Streaming bit-plane accumulator: buffers up to 64 transitions and flushes
-/// them through the transposed popcount reduction; anything still buffered is
-/// folded in with a scalar tail path when counts() / finish() is called, so
-/// partial blocks and short (< 64 word) streams are exact too.
-class BitplaneAccumulator {
+/// The one streaming switching-statistics accumulator. fold() takes chunks
+/// of any size (0, 1, 2, ... words; a per-word caller passes a one-word
+/// span) and the counts are bit-identical to one-shot compute_counts of the
+/// concatenated words, at every chunk partition.
+///
+/// Transitions are staged in a 64-word block and flushed through the
+/// transposed popcount reduction; a chunk that reaches a block boundary with
+/// >= 64 words left is reduced straight from the caller's buffer (no copy at
+/// width 64), which is what the zero-copy mmap ingestion path rides on.
+/// Whatever is still staged is folded in by a scalar tail path when counts()
+/// is called, so partial blocks and short (< 64 word) streams are exact too.
+///
+/// Seam-chain invariant: the last word folded is the seam. The next word
+/// forms a transition with it, and its one-bits are owned by the window that
+/// folded it. An empty chunk leaves the seam untouched; reset_window() keeps
+/// it (without its ownership); only reset() forgets it.
+class ChunkFolder {
  public:
-  explicit BitplaneAccumulator(std::size_t width);
+  explicit ChunkFolder(std::size_t width);
 
   std::size_t width() const { return width_; }
 
-  /// Number of words consumed so far.
-  std::size_t samples() const { return static_cast<std::size_t>(samples_); }
+  /// Fold the next chunk of the stream.
+  void fold(std::span<const std::uint64_t> chunk);
 
-  /// Seed the transition chain with `word` *without* counting its bits —
-  /// used by chunked reduction, where the seam word's ones belong to the
-  /// previous chunk. Only valid on a fresh (or fully reset()) accumulator:
-  /// once any word has been consumed, or after reset_window() carried the
-  /// previous window's last word over as the seam, re-priming would silently
-  /// break the seam-chain invariant (see below), so it throws a
-  /// std::logic_error naming the accumulator state instead.
-  void prime(std::uint64_t word);
-
-  /// Full power-on reset: counts cleared AND the transition chain forgotten.
-  /// prime() is valid again afterwards.
-  void reset();
-
-  /// Start a new counting window while *continuing* the transition chain:
-  /// counts (words, transitions, buffered tail) are cleared, but the last
-  /// word seen is carried over as the new window's seam word, exactly as if
-  /// prime() had been called with it. Tumbling windows produced this way
-  /// merge back to the exact whole-stream counts.
-  ///
-  /// Seam-chain invariant: at every moment, `prev_` is the last word of the
-  /// stream so far and exactly one accumulator "owns" its one-bits — the
-  /// window/chunk in which it was add()ed. A window reset transfers the word
-  /// but not the ownership (primed, not counted), and priming again on top
-  /// of that would either double-count or drop the seam transition — which
-  /// is why prime() rejects it. No-op on an accumulator that has seen no
-  /// words.
-  void reset_window();
-
-  /// Feed the next word of the stream.
-  void add(std::uint64_t word);
-
-  /// Feed a run of words. Full 64-transition blocks that start on a block
-  /// boundary are reduced straight from `words` (no copy through the staging
-  /// buffer at width 64), which is what the zero-copy mmap ingestion path
-  /// rides on; results are bit-identical to word-by-word add().
-  void add(std::span<const std::uint64_t> words);
-
-  /// Counts gathered so far (flushed blocks + buffered scalar tail).
+  /// Counts of everything folded since the last reset / window reset
+  /// (flushed blocks + the staged scalar tail). Exact; mergeable.
   SwitchingCounts counts() const;
 
-  /// finalize()d counts; needs >= 2 words.
-  SwitchingStats finish() const { return counts().finalize(); }
+  /// finalize()d counts; needs >= 2 words folded since the last reset.
+  SwitchingStats stats() const { return counts().finalize(); }
 
-  /// 64-transition blocks reduced through the transposed kernel so far.
-  std::uint64_t blocks_flushed() const { return blocks_; }
+  /// Words folded since construction / the last reset or window reset.
+  std::uint64_t words() const { return words_; }
 
-  /// Transitions currently buffered (will take the scalar tail path).
-  std::size_t pending() const { return n_; }
+  /// Full reset: counts cleared AND the seam forgotten (the next word starts
+  /// a fresh stream).
+  void reset();
+
+  /// Start a new counting window while *continuing* the stream: the counts
+  /// are cleared but the seam is carried over, so the next window's first
+  /// word still forms a transition with this window's last word. Tumbling
+  /// windows produced this way merge back to the exact whole-stream counts.
+  /// No-op before the first word.
+  void reset_window();
 
  private:
-  void flush_block();
+  void fold_word(std::uint64_t word);
   void flush_from(const std::uint64_t* block);  ///< 64 masked words, boundary-aligned
 
   std::size_t width_;
   std::uint64_t mask_;
-  std::uint64_t samples_ = 0;
-  bool primed_ = false;       ///< prev_ valid but not counted as a sample
-  std::uint64_t prev_ = 0;    ///< last word seen (masked)
+  std::uint64_t words_ = 0;
+  bool started_ = false;          ///< a seam word exists (block_prev_ or block_[n_-1])
   std::uint64_t block_prev_ = 0;  ///< word preceding block_[0]
-  std::size_t n_ = 0;             ///< buffered transitions
-  std::uint64_t blocks_ = 0;
-  std::uint64_t block_[64];       ///< post-transition words (masked)
+  std::size_t n_ = 0;             ///< staged transitions
+  std::uint64_t block_[64] = {};  ///< post-transition words (masked)
   SwitchingCounts counts_;        ///< everything already flushed
 };
 
@@ -151,18 +134,5 @@ class BitplaneAccumulator {
 /// exact integers the result is bit-identical at every thread count.
 SwitchingCounts compute_counts(std::span<const std::uint64_t> words, std::size_t width,
                                int threads = 1);
-
-/// Generalization used by chunked trace ingestion: when `primed`, the
-/// transition chain is seeded with `prime` (the last word of the preceding
-/// chunk, whose one-bits that chunk already counted) and every word of
-/// `words` is a transition target. Unprimed with `primed == false` this is
-/// compute_counts, except that 0- and 1-word spans yield partial counts
-/// instead of throwing — per-chunk counts merge into a whole-trace total, so
-/// the >= 2 words rule only applies to the final counts (finalize() enforces
-/// it). Bit-identical at every thread count, and merging the counts of a
-/// chunk sequence linked by seam words equals the counts of the whole trace.
-SwitchingCounts compute_counts_primed(bool primed, std::uint64_t prime,
-                                      std::span<const std::uint64_t> words, std::size_t width,
-                                      int threads = 1);
 
 }  // namespace tsvcod::stats

@@ -5,8 +5,9 @@
 //   * self switching        E{db_i^2}      (db in {-1, 0, +1})
 //   * switching correlation E{db_i db_j}
 //   * 1-bit probability     E{b_i}         (drives the MOS capacitance)
-// `BitplaneAccumulator` (stats/bitplane.hpp) measures them in one pass;
-// `SwitchingStats` packages them and builds the T matrix of Eq. 3.
+// `compute_counts` / `ChunkFolder` (stats/bitplane.hpp) measure them in one
+// pass, one-shot or streamed in chunks; `SwitchingStats` packages them and
+// builds the T matrix of Eq. 3.
 
 #include <cstdint>
 #include <span>

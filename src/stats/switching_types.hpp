@@ -1,7 +1,8 @@
 #pragma once
 // The packaged switching-statistics result type (paper Sec. 3, Eq. 1-3),
-// shared by the batch accumulator (switching_stats.hpp), the bit-plane
-// kernel (bitplane.hpp), the windowed estimator and the analytic DBT model.
+// shared by the one-shot entry points (switching_stats.hpp, ingest.hpp), the
+// bit-plane kernel and its streaming ChunkFolder (bitplane.hpp) and the
+// analytic DBT model.
 
 #include <cstdint>
 #include <vector>

@@ -7,8 +7,8 @@
 // Unlike WordStream (one word per simulated clock cycle, infinite replay), a
 // WordSource holds the whole trace and hands it out as one contiguous span.
 // A source backed by an mmap'd binary trace aliases the mapped pages, so it
-// is consumed zero-copy. Consumers that receive a trace in pieces fold them
-// through stats::ChunkFolder instead.
+// is consumed zero-copy. Consumers that receive a stream in pieces (serve
+// sessions, NoC links) fold each piece into stats::ChunkFolder instead.
 
 #include <cstdint>
 #include <memory>

@@ -335,9 +335,15 @@ TEST(Ingest, PrimedCountsComposeAcrossSplits) {
   const auto words = make_trace(9, 301, 17);
   const auto whole = stats::compute_counts(words, 9);
   for (const std::size_t split : {1u, 64u, 65u, 150u, 300u}) {
+    // The second window starts primed with the seam word words[split - 1],
+    // whose one-bits the first window already counted.
     const std::span<const std::uint64_t> all(words);
-    auto counts = stats::compute_counts_primed(false, 0, all.subspan(0, split), 9);
-    counts.merge(stats::compute_counts_primed(true, words[split - 1], all.subspan(split), 9));
+    stats::ChunkFolder folder(9);
+    folder.fold(all.subspan(0, split));
+    auto counts = folder.counts();
+    folder.reset_window();
+    folder.fold(all.subspan(split));
+    counts.merge(folder.counts());
     EXPECT_EQ(counts.words, whole.words) << split;
     EXPECT_EQ(counts.transitions, whole.transitions) << split;
     EXPECT_EQ(counts.ones, whole.ones) << split;

@@ -12,7 +12,6 @@
 #include "obs/obs.hpp"
 #include "phys/matrix.hpp"
 #include "stats/bitplane.hpp"
-#include "stats/ingest.hpp"
 #include "stats/subset.hpp"
 #include "stats/switching_stats.hpp"
 
@@ -160,44 +159,60 @@ TEST(Bitplane, BlockBoundaryEdgeCases) {
   }
 }
 
+/// Folds `words` (one word per fold() call when `per_word`) with metrics on
+/// and returns the folder's counts and the metrics document.
+std::pair<stats::SwitchingCounts, std::string> fold_with_metrics(
+    std::span<const std::uint64_t> words, std::size_t width, bool per_word) {
+  obs::reset_metrics();
+  obs::enable_metrics(true);
+  stats::ChunkFolder folder(width);
+  if (per_word) {
+    for (const auto& w : words) folder.fold({&w, 1});
+  } else {
+    folder.fold(words);
+  }
+  obs::enable_metrics(false);
+  std::pair<stats::SwitchingCounts, std::string> out{folder.counts(), obs::metrics_to_json()};
+  obs::reset_metrics();
+  EXPECT_EQ(folder.words(), words.size());
+  return out;
+}
+
 TEST(Bitplane, BlockAndTailAccountingMatchesTheStreamLength) {
-  stats::BitplaneAccumulator acc(8);
   std::mt19937_64 rng(17);
   const auto words = make_trace(rng, 8, 131, 0);  // 130 transitions = 2 blocks + 2 tail
-  for (const auto w : words) acc.add(w);
-  EXPECT_EQ(acc.samples(), 131u);
-  EXPECT_EQ(acc.blocks_flushed(), 2u);
-  EXPECT_EQ(acc.pending(), 2u);
-  const auto counts = acc.counts();
-  EXPECT_EQ(counts.words, 131u);
-  EXPECT_EQ(counts.transitions, 130u);
-
-  stats::BitplaneAccumulator exact(8);
-  for (std::size_t i = 0; i < 65; ++i) exact.add(words[i]);
-  EXPECT_EQ(exact.blocks_flushed(), 1u);
-  EXPECT_EQ(exact.pending(), 0u);  // 64 transitions flush exactly one block
+  for (const bool per_word : {true, false}) {
+    const auto [counts, json] = fold_with_metrics(words, 8, per_word);
+    EXPECT_EQ(counts.words, 131u);
+    EXPECT_EQ(counts.transitions, 130u);
+    EXPECT_NE(json.find("\"stats.bitplane.blocks_total\":2"), std::string::npos) << json;
+  }
+  // 65 words = 64 transitions flush exactly one block, leaving no tail.
+  const auto [exact, json] = fold_with_metrics(std::span(words).first(65), 8, true);
+  EXPECT_EQ(exact.transitions, 64u);
+  EXPECT_NE(json.find("\"stats.bitplane.blocks_total\":1"), std::string::npos) << json;
 }
 
 TEST(Bitplane, StreamingEqualsOneShot) {
   std::mt19937_64 rng(19);
   const auto words = make_trace(rng, 33, 500, 2);
-  stats::BitplaneAccumulator acc(33);
-  for (const auto w : words) acc.add(w);
-  expect_bitwise_equal(acc.finish(), stats::compute_stats(words, 33, 1));
+  stats::ChunkFolder acc(33);
+  for (const auto& w : words) acc.fold({&w, 1});
+  expect_bitwise_equal(acc.stats(), stats::compute_stats(words, 33, 1));
 }
 
 TEST(Bitplane, FinishMidStreamDoesNotPerturbTheStream) {
-  // counts()/finish() are const snapshots: calling them between words must
-  // not change what a later finish() returns.
+  // counts()/stats() are const snapshots: calling them between words must
+  // not change what a later stats() returns.
   std::mt19937_64 rng(23);
   const auto words = make_trace(rng, 12, 150, 1);
-  stats::BitplaneAccumulator probed(12), plain(12);
+  stats::ChunkFolder probed(12), plain(12);
   for (std::size_t t = 0; t < words.size(); ++t) {
-    probed.add(words[t]);
-    plain.add(words[t]);
-    if (t >= 2 && t % 37 == 0) (void)probed.finish();
+    probed.fold({&words[t], 1});
+    plain.fold({&words[t], 1});
+    if (t >= 2 && t % 37 == 0) (void)probed.stats();
   }
-  expect_bitwise_equal(probed.finish(), plain.finish());
+  expect_bitwise_equal(probed.stats(), plain.stats());
 }
 
 TEST(Bitplane, ThreadCountInvariance) {
@@ -210,42 +225,17 @@ TEST(Bitplane, ThreadCountInvariance) {
   }
 }
 
-TEST(Bitplane, ManualChunkMergeEqualsWholeTrace) {
-  std::mt19937_64 rng(31);
-  const auto words = make_trace(rng, 21, 1000, 3);
-  auto whole = stats::compute_counts(words, 21, 1);
-
-  // Two chunks overlapping one word at the seam: the second is primed with
-  // the seam word so its bits are not double counted.
-  const std::size_t cut = 437;
-  stats::BitplaneAccumulator a(21), b(21);
-  for (std::size_t t = 0; t <= cut; ++t) a.add(words[t]);
-  b.prime(words[cut]);
-  for (std::size_t t = cut + 1; t < words.size(); ++t) b.add(words[t]);
-  auto merged = a.counts();
-  merged.merge(b.counts());
-  EXPECT_EQ(merged.words, whole.words);
-  EXPECT_EQ(merged.transitions, whole.transitions);
-  expect_bitwise_equal(merged.finalize(), whole.finalize());
-}
-
-TEST(Bitplane, PrimeRejectsAStartedStream) {
-  stats::BitplaneAccumulator acc(4);
-  acc.add(1);
-  EXPECT_THROW(acc.prime(2), std::logic_error);
-}
-
 TEST(Bitplane, TooFewWordsErrorNamesWidthAndCount) {
-  stats::BitplaneAccumulator acc(7);
-  acc.add(1);
+  stats::ChunkFolder acc(7);
+  const std::vector<std::uint64_t> one{5};
+  acc.fold(one);
   try {
-    (void)acc.finish();
-    FAIL() << "finish() on one word must throw";
+    (void)acc.stats();
+    FAIL() << "stats() on one word must throw";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("width 7"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("have 1"), std::string::npos) << e.what();
   }
-  const std::vector<std::uint64_t> one{5};
   try {
     (void)stats::compute_stats(one, 9);
     FAIL() << "compute_stats on one word must throw";
@@ -349,25 +339,29 @@ TEST(ChunkFolder, ExhaustiveTinyChunkPartitionsMatchOneShot) {
 
 TEST(ChunkFolder, EmptyChunkLeavesTheSeamUntouched) {
   stats::ChunkFolder folder(8);
-  EXPECT_FALSE(folder.primed());
-  EXPECT_THROW((void)folder.seam(), std::logic_error);
-
-  folder.fold({});  // empty before any word: still unprimed
-  EXPECT_FALSE(folder.primed());
+  folder.fold({});  // empty before any word: still no stream
+  EXPECT_EQ(folder.words(), 0u);
+  EXPECT_EQ(folder.counts().words, 0u);
 
   const std::vector<std::uint64_t> one{0xA5};
   folder.fold(one);
-  EXPECT_TRUE(folder.primed());
-  EXPECT_EQ(folder.seam(), 0xA5u);
   EXPECT_EQ(folder.words(), 1u);
+  EXPECT_EQ(folder.counts().transitions, 0u);  // the first word has no transition
 
-  folder.fold({});  // empty mid-stream: seam must survive
-  EXPECT_EQ(folder.seam(), 0xA5u);
+  folder.fold({});  // empty mid-stream: the seam 0xA5 must survive
+  EXPECT_EQ(folder.words(), 1u);
 
   const std::vector<std::uint64_t> next{0x5A};
   folder.fold(next);
-  EXPECT_EQ(folder.counts().transitions, 1u);  // 0xA5 -> 0x5A counted once
-  EXPECT_EQ(folder.seam(), 0x5Au);
+  const auto counts = folder.counts();
+  EXPECT_EQ(counts.transitions, 1u);  // 0xA5 -> 0x5A counted once
+  // 0xA5 ^ 0x5A = 0xFF: every line toggled against the seam, and every line
+  // is 1 in exactly one of the two words.
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(counts.self[i], 1u) << "line " << i;
+    EXPECT_EQ(counts.ones[i], 1u) << "line " << i;
+  }
+  expect_counts_equal(counts, stats::compute_counts(std::vector<std::uint64_t>{0xA5, 0x5A}, 8));
 }
 
 TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
@@ -384,8 +378,8 @@ TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
   merged.merge(folder.counts());
   folder.reset_window();
   EXPECT_EQ(folder.words(), 0u);
-  EXPECT_TRUE(folder.primed()) << "reset_window keeps the seam";
   folder.fold(all.subspan(200, 200));
+  EXPECT_EQ(folder.counts().transitions, 200u) << "reset_window keeps the seam";
   merged.merge(folder.counts());
   folder.reset_window();
   folder.fold(all.subspan(400));
@@ -394,7 +388,6 @@ TEST(ChunkFolder, ResetForgetsTheSeamResetWindowCarriesIt) {
 
   // Full reset: the next fold starts a fresh stream (no seam transition).
   folder.reset();
-  EXPECT_FALSE(folder.primed());
   folder.fold(all.subspan(0, 200));
   expect_counts_equal(folder.counts(), stats::compute_counts(all.subspan(0, 200), 8, 1));
 }
@@ -409,10 +402,10 @@ TEST(Bitplane, ResetWindowWindowsMergeToWholeStream) {
   const auto words = make_trace(rng, 13, 500, 2);
   const auto whole = stats::compute_counts(words, 13, 1);
 
-  stats::BitplaneAccumulator acc(13);
+  stats::ChunkFolder acc(13);
   stats::SwitchingCounts merged(13);
   for (std::size_t t = 0; t < words.size(); ++t) {
-    acc.add(words[t]);
+    acc.fold({&words[t], 1});
     if ((t + 1) % 150 == 0) {  // window boundary (not block-aligned: 150 % 64 != 0)
       merged.merge(acc.counts());
       acc.reset_window();
@@ -422,44 +415,6 @@ TEST(Bitplane, ResetWindowWindowsMergeToWholeStream) {
   EXPECT_EQ(merged.words, whole.words);
   EXPECT_EQ(merged.transitions, whole.transitions);
   expect_counts_equal(merged, whole);
-}
-
-TEST(Bitplane, PrimeAfterResetWindowThrowsNamingTheState) {
-  // The silent mis-prime surface: after reset_window() the accumulator is
-  // primed with the carried seam word, and a prime() would overwrite it and
-  // mis-count the next window's first transition. The error must say so.
-  stats::BitplaneAccumulator acc(6);
-  acc.add(1);
-  acc.add(2);
-  acc.reset_window();
-  try {
-    acc.prime(7);
-    FAIL() << "prime() after reset_window() must throw";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("seam word"), std::string::npos) << what;
-    EXPECT_NE(what.find("reset_window"), std::string::npos) << what;
-    EXPECT_NE(what.find("width 6"), std::string::npos) << what;
-  }
-
-  // Mid-stream prime still names the consumed-word state instead.
-  stats::BitplaneAccumulator busy(6);
-  busy.add(1);
-  try {
-    busy.prime(7);
-    FAIL() << "prime() mid-stream must throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("1 words consumed"), std::string::npos) << e.what();
-  }
-
-  // A full reset() returns to the power-on state where prime() is legal.
-  acc.reset();
-  EXPECT_NO_THROW(acc.prime(7));
-
-  // reset_window() before any stream exists is a no-op; prime() stays legal.
-  stats::BitplaneAccumulator fresh(6);
-  fresh.reset_window();
-  EXPECT_NO_THROW(fresh.prime(3));
 }
 
 }  // namespace

@@ -17,25 +17,22 @@ stats::SwitchingStats interleaved_two_channel_stats() {
   // bit-interleaved: channel A on even bus bits, channel B on odd bus bits.
   streams::GaussianAr1Stream a(8, 12.0, 0.0, 1);
   streams::GaussianAr1Stream b(8, 12.0, 0.0, 2);
-  stats::BitplaneAccumulator acc(16);
-  for (int t = 0; t < 60000; ++t) {
+  std::vector<std::uint64_t> words(60000);
+  for (auto& bus : words) {
     const std::uint64_t wa = a.next();
     const std::uint64_t wb = b.next();
-    std::uint64_t bus = 0;
+    bus = 0;
     for (std::size_t k = 0; k < 8; ++k) {
       bus |= ((wa >> k) & 1u) << (2 * k);
       bus |= ((wb >> k) & 1u) << (2 * k + 1);
     }
-    acc.add(bus);
   }
-  return acc.finish();
+  return stats::compute_stats(words, 16);
 }
 
 TEST(SubsetStats, ExtractsSelectedBits) {
   streams::SequentialStream src(8, 0.1, 3);
-  stats::BitplaneAccumulator acc(8);
-  for (int i = 0; i < 10000; ++i) acc.add(src.next());
-  const auto full = acc.finish();
+  const auto full = stats::compute_stats(streams::collect(src, 10000), 8);
 
   const std::vector<std::size_t> pick{7, 0, 3};
   const auto sub = stats::subset_stats(full, pick);
@@ -49,9 +46,7 @@ TEST(SubsetStats, ExtractsSelectedBits) {
 
 TEST(SubsetStats, Validation) {
   streams::UniformRandomStream src(4, 1);
-  stats::BitplaneAccumulator acc(4);
-  for (int i = 0; i < 100; ++i) acc.add(src.next());
-  const auto full = acc.finish();
+  const auto full = stats::compute_stats(streams::collect(src, 100), 4);
   EXPECT_THROW(stats::subset_stats(full, std::vector<std::size_t>{}), std::invalid_argument);
   EXPECT_THROW(stats::subset_stats(full, std::vector<std::size_t>{4}), std::out_of_range);
 }

@@ -183,6 +183,26 @@ TEST(Power, BitExactEnergyMatchesExpectation) {
   EXPECT_NEAR(core::normalized_power(s, c), energy, 1e-15 * energy + 1e-25);
 }
 
+TEST(Power, ZeroDeltaCModelPricesAgainstTheFixedReference) {
+  // A linear model with zero Delta C is the MOS-blind objective: evaluate_eps
+  // returns C_R exactly, so every assignment prices like <T', C_R>.
+  auto geom = TsvArrayGeometry::itrs2018_min(2, 3);
+  const core::Link link(geom);
+  streams::UniformRandomStream inner(4, 7);  // bits 4, 5 stay 0: skewed eps
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 5000; ++i) words.push_back(inner.next());
+  const auto st = stats_of(words, 6);
+  const phys::Matrix& c_ref = link.model().c_ref();
+  const tsv::LinearCapacitanceModel mos_blind(c_ref, phys::Matrix(6, 6));
+
+  std::mt19937_64 rng(11);
+  for (int k = 0; k < 20; ++k) {
+    const auto a = SignedPermutation::random(6, rng);
+    EXPECT_EQ(core::assignment_power(st, a, mos_blind),
+              core::normalized_power(a.apply(st), c_ref));
+  }
+}
+
 TEST(Power, PhysicalScaling) {
   EXPECT_DOUBLE_EQ(core::physical_power(1e-13, 1.0, 3e9), 1e-13 * 3e9 / 2.0);
 }
@@ -345,6 +365,70 @@ TEST(Optimize, RandomBaselineOrdering) {
   EXPECT_LE(base.mean, base.worst);
   const auto opt = core::exhaustive_optimal(s, link.model());
   EXPECT_LE(opt.power, base.best + 1e-18);
+}
+
+// --- The annealing schedule of optimize_assignment --------------------------
+
+/// 2x2 link statistics with a real landscape (correlated Gaussian data).
+stats::SwitchingStats anneal_stats() {
+  streams::GaussianAr1Stream src(4, 3.0, 0.4, 5);
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 20000; ++i) words.push_back(src.next());
+  return stats_of(words, 4);
+}
+
+TEST(Anneal, DeterministicForFixedSeed) {
+  const core::Link link(TsvArrayGeometry::itrs2018_min(2, 2));
+  const auto s = anneal_stats();
+  core::OptimizeOptions opts;
+  opts.schedule.iterations = 2000;
+  opts.seed = 7;
+  const auto a = core::optimize_assignment(s, link.model(), opts);
+  const auto b = core::optimize_assignment(s, link.model(), opts);
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.power, b.power);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(Anneal, FlatLandscapeIsSafe) {
+  // A constant stream never switches: every assignment prices 0, the
+  // sampled move deltas are all 0, and the auto-calibrated temperature must
+  // not divide by zero.
+  const core::Link link(TsvArrayGeometry::itrs2018_min(2, 2));
+  const std::vector<std::uint64_t> words(100, 0b0110);
+  core::OptimizeOptions opts;
+  opts.schedule.iterations = 100;
+  const auto res = core::optimize_assignment(stats_of(words, 4), link.model(), opts);
+  EXPECT_EQ(res.power, 0.0);
+  EXPECT_EQ(res.assignment.size(), 4u);
+}
+
+TEST(Anneal, NeverReturnsWorseThanInit) {
+  // Every chain starts on the identity and keeps its best state.
+  const core::Link link(TsvArrayGeometry::itrs2018_min(2, 2));
+  const auto s = anneal_stats();
+  core::OptimizeOptions opts;
+  opts.schedule.iterations = 50;
+  opts.schedule.restarts = 1;
+  const auto res = core::optimize_assignment(s, link.model(), opts);
+  EXPECT_LE(res.power, core::assignment_power(s, SignedPermutation::identity(4), link.model()));
+}
+
+TEST(Anneal, RespectsExplicitStartTemperature) {
+  // An explicit start temperature skips the calibration probes and still
+  // cools onto the exhaustive optimum.
+  const core::Link link(TsvArrayGeometry::itrs2018_min(2, 2));
+  const auto s = anneal_stats();
+  core::OptimizeOptions opts;
+  opts.schedule.iterations = 4000;
+  opts.schedule.restarts = 2;
+  opts.schedule.t_start =
+      0.05 * core::assignment_power(s, SignedPermutation::identity(4), link.model());
+  opts.chains = 2;
+  const auto sa = core::optimize_assignment(s, link.model(), opts);
+  EXPECT_EQ(sa.evaluations, 2u * (1 + 2 * 4000));  // no calibration probes
+  const auto ex = core::exhaustive_optimal(s, link.model(), opts);
+  EXPECT_NEAR(sa.power, ex.power, 1e-9 * std::abs(ex.power));
 }
 
 TEST(Link, StudyIsInternallyConsistent) {

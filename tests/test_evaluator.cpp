@@ -18,9 +18,7 @@ using namespace tsvcod;
 
 stats::SwitchingStats make_stats(std::size_t width, std::uint64_t seed) {
   streams::SequentialStream src(width, 0.1, seed);
-  stats::BitplaneAccumulator acc(width);
-  for (int i = 0; i < 20000; ++i) acc.add(src.next());
-  return acc.finish();
+  return stats::compute_stats(streams::collect(src, 20000), width);
 }
 
 class EvaluatorSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -213,9 +211,7 @@ TEST(Evaluator, OptimizerStillFindsExhaustiveOptimum) {
   auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(2, 2);
   const core::Link link(geom);
   streams::GaussianAr1Stream src(4, 3.0, -0.5, 17);
-  stats::BitplaneAccumulator acc(4);
-  for (int i = 0; i < 30000; ++i) acc.add(src.next());
-  const auto st = acc.finish();
+  const auto st = stats::compute_stats(streams::collect(src, 30000), 4);
 
   core::OptimizeOptions opts;
   opts.schedule.iterations = 5000;

@@ -74,18 +74,18 @@ TEST(AdaptiveLink, WindowedReassignmentFollowsTheSignal) {
   // keeping the stale assignment.
   auto geom = phys::TsvArrayGeometry::itrs2018_relaxed(4, 4);
   const core::Link link(geom);
-  stats::BitplaneAccumulator window(16);
+  stats::ChunkFolder window(16);
 
   streams::SequentialStream phase1(16, 0.02, 4);
-  for (int i = 0; i < 20000; ++i) window.add(phase1.next());
+  window.fold(streams::collect(phase1, 20000));
   core::OptimizeOptions opts;
   opts.schedule.iterations = 6000;
-  const auto a1 = core::optimize_assignment(window.finish(), link.model(), opts);
+  const auto a1 = core::optimize_assignment(window.stats(), link.model(), opts);
 
   window.reset_window();
   streams::GaussianAr1Stream phase2(16, 500.0, 0.0, 4);
-  for (int i = 0; i < 20000; ++i) window.add(phase2.next());
-  const auto snap2 = window.finish();
+  window.fold(streams::collect(phase2, 20000));
+  const auto snap2 = window.stats();
   const auto a2 = core::optimize_assignment(snap2, link.model(), opts);
 
   EXPECT_LT(a2.power, link.power(snap2, a1.assignment));
@@ -95,9 +95,7 @@ TEST(GreedyDescent, FindsExhaustiveOptimumOnSmallArrays) {
   auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
   const core::Link link(geom);
   streams::GaussianAr1Stream src(4, 3.0, -0.4, 21);
-  stats::BitplaneAccumulator acc(4);
-  for (int i = 0; i < 30000; ++i) acc.add(src.next());
-  const auto st = acc.finish();
+  const auto st = stats::compute_stats(streams::collect(src, 30000), 4);
 
   const auto greedy = core::greedy_descent(st, link.model());
   const auto exact = core::exhaustive_optimal(st, link.model());
@@ -141,9 +139,7 @@ TEST(GreedyDescent, TerminatesOnNegativePowerLandscapes) {
   const tsv::LinearCapacitanceModel model(std::move(cr), std::move(dc));
 
   streams::GaussianAr1Stream src(n, 2.0, -0.5, 9);
-  stats::BitplaneAccumulator acc(n);
-  for (int i = 0; i < 20000; ++i) acc.add(src.next());
-  const auto st = acc.finish();
+  const auto st = stats::compute_stats(streams::collect(src, 20000), n);
 
   const double identity_power =
       core::assignment_power(st, core::SignedPermutation::identity(n), model);

@@ -71,9 +71,7 @@ TEST(DbtVsMeasured, Ar1StreamMatchesTheory) {
   const auto theory = stats::dbt_stats(p);
 
   streams::GaussianAr1Stream src(16, p.sigma, p.rho, 31);
-  stats::BitplaneAccumulator acc(16);
-  for (int i = 0; i < 200000; ++i) acc.add(src.next());
-  const auto measured = acc.finish();
+  const auto measured = stats::compute_stats(streams::collect(src, 200000), 16);
 
   // Sign-bit region: activity and pairwise correlation.
   EXPECT_NEAR(measured.self[15], theory.self[15], 0.03);
@@ -95,11 +93,7 @@ TEST(DbtVsMeasured, TheoryDrivenSawtoothIsCompetitive) {
   const core::Link link(geom);
 
   streams::GaussianAr1Stream src(16, 800.0, 0.0, 9);
-  const auto measured = [&] {
-    stats::BitplaneAccumulator acc(16);
-    for (int i = 0; i < 100000; ++i) acc.add(src.next());
-    return acc.finish();
-  }();
+  const auto measured = stats::compute_stats(streams::collect(src, 100000), 16);
 
   stats::DbtParams p;
   p.width = 16;
@@ -202,18 +196,18 @@ TEST(Pipeline, CodecMaskStatsMatchAssignmentTransform) {
   const std::uint64_t mask = 0xC0;
   coding::GrayCodec enc_mask(8, mask);
 
-  stats::BitplaneAccumulator acc_plain(8), acc_mask(8);
+  std::vector<std::uint64_t> plain, masked;
   for (int i = 0; i < 30000; ++i) {
     const auto x = src.next();
-    acc_plain.add(enc_plain.encode(x));
-    acc_mask.add(enc_mask.encode(x));
+    plain.push_back(enc_plain.encode(x));
+    masked.push_back(enc_mask.encode(x));
   }
   // Assignment that only inverts the mask bits.
   auto inv = core::SignedPermutation::identity(8);
   inv.toggle_inversion(6);
   inv.toggle_inversion(7);
-  const auto transformed = inv.apply(acc_plain.finish());
-  const auto measured = acc_mask.finish();
+  const auto transformed = inv.apply(stats::compute_stats(plain, 8));
+  const auto measured = stats::compute_stats(masked, 8);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_NEAR(transformed.prob_one[i], measured.prob_one[i], 1e-12);
     EXPECT_NEAR(transformed.self[i], measured.self[i], 1e-12);

@@ -145,7 +145,8 @@ TEST(Session, StatsBitIdenticalToBatchAtRaggedChunkSizes) {
 
 TEST(Session, IngestProfileShowsTheCodecRoundtrip) {
   // One ingested chunk inside one window: a serve.ingest span with one
-  // coding.roundtrip block under it that counts every word.
+  // coding.roundtrip block and one stats.fold under it, each counting every
+  // word.
   obs::reset_profile();
   obs::enable_profiling(true);
   {
@@ -163,13 +164,15 @@ TEST(Session, IngestProfileShowsTheCodecRoundtrip) {
   }
   ASSERT_NE(ingest, nullptr);
   EXPECT_EQ(ingest->find("count")->number, 1.0);
-  const obs::json::Value* roundtrip = nullptr;
-  for (const auto& child : ingest->find("children")->array) {
-    if (child.find("name")->string == "coding.roundtrip") roundtrip = &child;
+  for (const char* name : {"coding.roundtrip", "stats.fold"}) {
+    const obs::json::Value* layer = nullptr;
+    for (const auto& child : ingest->find("children")->array) {
+      if (child.find("name")->string == name) layer = &child;
+    }
+    ASSERT_NE(layer, nullptr) << name;
+    EXPECT_EQ(layer->find("count")->number, 1.0) << name;
+    EXPECT_EQ(layer->find("work")->find("words")->number, 100.0) << name;
   }
-  ASSERT_NE(roundtrip, nullptr);
-  EXPECT_EQ(roundtrip->find("count")->number, 1.0);
-  EXPECT_EQ(roundtrip->find("work")->find("words")->number, 100.0);
 }
 
 TEST(Session, WindowsMergeToWholeStreamCounts) {

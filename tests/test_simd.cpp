@@ -77,9 +77,7 @@ class LevelSweep : public ::testing::TestWithParam<Level> {
 
 stats::SwitchingStats make_stats(std::size_t width, std::uint64_t seed) {
   streams::SequentialStream src(width, 0.1, seed);
-  stats::BitplaneAccumulator acc(width);
-  for (int i = 0; i < 20000; ++i) acc.add(src.next());
-  return acc.finish();
+  return stats::compute_stats(streams::collect(src, 20000), width);
 }
 
 // The batch scoring API must agree across every dispatch level (n = 25

@@ -14,7 +14,6 @@ namespace {
 
 using namespace tsvcod;
 using stats::compute_stats;
-using stats::BitplaneAccumulator;
 
 TEST(Stats, ConstantStream) {
   const std::vector<std::uint64_t> words(10, 0b101);
@@ -78,13 +77,14 @@ TEST(Stats, EpsIsShiftedProbability) {
 }
 
 TEST(Stats, AccumulatorGuards) {
-  EXPECT_THROW(BitplaneAccumulator(0), std::invalid_argument);
-  EXPECT_THROW(BitplaneAccumulator(65), std::invalid_argument);
-  BitplaneAccumulator acc(4);
-  acc.add(1);
-  EXPECT_THROW(acc.finish(), std::logic_error);
-  acc.add(2);
-  EXPECT_NO_THROW(acc.finish());
+  EXPECT_THROW(stats::ChunkFolder(0), std::invalid_argument);
+  EXPECT_THROW(stats::ChunkFolder(65), std::invalid_argument);
+  stats::ChunkFolder acc(4);
+  const std::vector<std::uint64_t> words{1, 2};
+  acc.fold(std::span(words).first(1));
+  EXPECT_THROW(acc.stats(), std::logic_error);
+  acc.fold(std::span(words).last(1));
+  EXPECT_NO_THROW(acc.stats());
 }
 
 TEST(Stats, MasksBitsAboveWidth) {

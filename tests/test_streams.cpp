@@ -17,9 +17,7 @@ using namespace tsvcod;
 using namespace tsvcod::streams;
 
 stats::SwitchingStats measure(WordStream& s, std::size_t n) {
-  stats::BitplaneAccumulator acc(s.width());
-  for (std::size_t i = 0; i < n; ++i) acc.add(s.next());
-  return acc.finish();
+  return stats::compute_stats(collect(s, n), s.width());
 }
 
 TEST(Trace, WrapsAndMasks) {

@@ -76,7 +76,6 @@ serve::SessionConfig session_config(const Args& args, const tsv::LinearCapacitan
   cfg.optimize.chains = static_cast<int>(args.size_or("chains", 4));
   cfg.optimize.seed = static_cast<unsigned>(args.size_or("seed", 1));
   cfg.optimize.threads = threads_from(args);
-  cfg.stats_threads = threads_from(args);
 
   for (const auto& [key, value] : overrides) {
     if (key == "codec") {
