@@ -22,25 +22,15 @@ CodedLink::CodedLink(SignedPermutation assignment, std::unique_ptr<coding::Codec
   rx_ = tx_->clone();
 }
 
-SignedPermutation CodedLink::assignment_snapshot() const {
-  std::lock_guard<std::mutex> lk(*mu_);
-  return assignment_;
-}
-
 std::uint64_t CodedLink::transmit(std::uint64_t word) {
-  std::lock_guard<std::mutex> lk(*mu_);
   return net_.apply(tx_->encode(word));
 }
 
 std::uint64_t CodedLink::receive(std::uint64_t lines) {
-  std::lock_guard<std::mutex> lk(*mu_);
   return rx_->decode(net_.unapply(lines));
 }
 
 std::uint64_t CodedLink::roundtrip(std::uint64_t word) {
-  // One critical section for both halves: a concurrent reset / hot-swap can
-  // only land between whole words, never between a word's encode and decode.
-  std::lock_guard<std::mutex> lk(*mu_);
   return rx_->decode(net_.unapply(net_.apply(tx_->encode(word))));
 }
 
@@ -52,14 +42,12 @@ void CodedLink::roundtrip_block(std::span<const std::uint64_t> in, std::span<std
   }
   obs::Span span("coding.roundtrip");
   obs::profile_work("words", in.size());
-  std::lock_guard<std::mutex> lk(*mu_);
   tx_->encode_block(in, out);
   net_.roundtrip(out);
   rx_->decode_block(out, out);
 }
 
 void CodedLink::reset() {
-  std::lock_guard<std::mutex> lk(*mu_);
   tx_->reset();
   rx_->reset();
 }
@@ -70,10 +58,8 @@ void CodedLink::reset(SignedPermutation next) {
                                 std::to_string(next.size()) + " does not match line width " +
                                 std::to_string(assignment_.size()));
   }
-  LineNetwork net(next);  // route outside the lock; traffic keeps flowing
-  std::lock_guard<std::mutex> lk(*mu_);
+  net_ = LineNetwork(next);
   assignment_ = std::move(next);
-  net_ = net;
   tx_->reset();
   rx_->reset();
 }

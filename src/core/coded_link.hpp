@@ -15,18 +15,16 @@
 // construction and at every reset(next); the per-word path and the block
 // path both place words on the lines through it.
 //
-// Thread safety: transmit / receive / roundtrip / roundtrip_block / reset are
-// serialized by an internal mutex. roundtrip_block() takes the lock once per
-// block and holds it across the whole encode -> lines -> decode chain of
-// every word in it, so a reset (including the assignment hot-swap overload)
-// lands between blocks and therefore between whole words — never between a
-// word's encode and decode, never splitting the tx/rx pair. That is the swap
-// mechanism the streaming service (src/serve) relies on, and interleaved
-// calls from several threads keep the endpoint histories in lockstep.
+// Thread safety: none inside the link. Calls on one link are serialized by
+// its owner (serve::Session holds its session mutex around every call), so a
+// reset, including the assignment hot-swap overload, lands between whole
+// roundtrip() / roundtrip_block() calls and never splits the tx/rx pair. One
+// exception: transmit() touches only the transmitter endpoint and receive()
+// only the receiver, so the two may run on two threads at once while no
+// reset runs (the NoC's sender and receiver ranks, see noc/simulator.hpp).
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "coding/codec.hpp"
@@ -45,25 +43,19 @@ class CodedLink {
   std::size_t payload_width() const { return tx_->width_in(); }
   std::size_t line_width() const { return assignment_.size(); }
 
-  /// The live assignment. Only stable while no concurrent reset(next) can
-  /// run; concurrent readers should take assignment_snapshot() instead.
+  /// The live assignment; replaced by reset(next).
   const SignedPermutation& assignment() const { return assignment_; }
-  /// Copy of the live assignment, taken under the link lock.
-  SignedPermutation assignment_snapshot() const;
 
   /// Transmitter side: encode a payload word and place it on the TSV lines.
   std::uint64_t transmit(std::uint64_t word);
   /// Receiver side: recover the payload word from the TSV line word.
   std::uint64_t receive(std::uint64_t lines);
   /// Full chain; equals the input for every codec when both endpoints stay
-  /// in sync (the harness' first oracle). Atomic: the encode and decode
-  /// halves happen under one lock acquisition, so a concurrent reset can
-  /// never land between them.
+  /// in sync (the harness' first oracle).
   std::uint64_t roundtrip(std::uint64_t word);
   /// roundtrip() over a block: out[i] is the received word for in[i].
-  /// `out.size()` must equal `in.size()`; `out` may be `in`. One lock
-  /// acquisition for the whole block, so a concurrent reset lands before or
-  /// after it. Equals per-word roundtrip() calls for any block partition.
+  /// `out.size()` must equal `in.size()`; `out` may be `in`. Equals per-word
+  /// roundtrip() calls for any block partition.
   void roundtrip_block(std::span<const std::uint64_t> in, std::span<std::uint64_t> out);
 
   /// Atomic pair reset: both endpoints return to the power-on state in one
@@ -72,12 +64,11 @@ class CodedLink {
   /// accessors below.
   void reset();
 
-  /// Atomic hot-swap: install `next` as the live assignment AND reset both
-  /// endpoints, all inside one critical section. Traffic running
-  /// concurrently through roundtrip() observes a clean cut — every word is
-  /// encoded, assigned, unassigned and decoded under exactly one assignment
-  /// and one consistent pair state, so the swap causes zero decode desyncs.
-  /// `next.size()` must equal the current line width.
+  /// Hot-swap: install `next` as the live assignment AND reset both
+  /// endpoints in one call, so every word is encoded, assigned, unassigned
+  /// and decoded under exactly one assignment and one consistent pair state
+  /// and the swap causes zero decode desyncs. `next.size()` must equal the
+  /// current line width.
   void reset(SignedPermutation next);
 
   /// Endpoint access for desync experiments and statistics probes. Resetting
@@ -90,8 +81,6 @@ class CodedLink {
   LineNetwork net_;  ///< assignment_ compiled; rebuilt with it
   std::unique_ptr<coding::Codec> tx_;
   std::unique_ptr<coding::Codec> rx_;
-  // unique_ptr keeps the link movable (std::mutex is not); never null.
-  std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
 };
 
 }  // namespace tsvcod::core

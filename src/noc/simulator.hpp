@@ -31,7 +31,10 @@
 // encodes every payload crossing it, with exact coded-line toggle counters
 // next to the uncoded ones, and optional per-link switching-statistics
 // accumulators feed the bit-to-TSV optimizer for *every* bundle instead of
-// one probed link.
+// one probed link. The CodedLink takes no lock: the sender's rank calls
+// transmit() in arbitrate and the receiver's rank calls receive() in
+// transfer, a barrier apart and on disjoint endpoint state, and plans are
+// attached before the first run() — the mesh serializes its links itself.
 //
 // A LinkProbe records the word physically present on a chosen link each
 // cycle: the transmitted flit payload plus a valid line, with the data lines

@@ -135,7 +135,7 @@ bool Session::window_boundary_locked(IngestResult& out) {
     out.tripped = true;
     out.drift = drift;
     out.window_stats = window_stats;
-    out.current = link_.assignment_snapshot();
+    out.current = link_.assignment();
     out.words_at_trip = words_;
     reanneal_inflight_ = true;
     ++trips_;

@@ -21,13 +21,14 @@
 // the drift exceeds the threshold — and no re-anneal is already in flight and
 // the cooldown since the last swap has elapsed — ingest() reports a trip; the
 // server schedules `optimize_assignment` on the shared pool against the
-// window's statistics and, when it finishes, installs the winner atomically
-// via `CodedLink::reset(next)`. Concurrent traffic observes zero desyncs
-// across the swap.
+// window's statistics and, when it finishes, installs the winner via
+// `CodedLink::reset(next)`. Concurrent traffic observes zero desyncs across
+// the swap.
 //
-// Thread safety: ingest() is serialized per session by the server's shard
-// queues; install() and snapshot() may race ingest() and are protected by the
-// session mutex.
+// Thread safety: every public call takes the session mutex, the only lock
+// over the link (CodedLink has none). ingest() runs its roundtrips and
+// install() its hot-swap under it, so a swap lands between two ingest() calls
+// and never splits a word's encode from its decode. Any of them may race.
 
 #include <chrono>
 #include <cstdint>
@@ -120,11 +121,11 @@ class Session {
   /// later windows in the same chunk still update drift bookkeeping).
   IngestResult ingest(std::span<const std::uint64_t> words);
 
-  /// Install a re-annealed assignment: atomic hot-swap on the link, then
-  /// clear the in-flight flag. Only installs while a trip's re-anneal is in
-  /// flight: at most one is at a time, and abandon_reanneal() clears the
-  /// flag, so an abandoned (or never requested) anneal returns false and
-  /// leaves the link untouched.
+  /// Install a re-annealed assignment: hot-swap the link under the session
+  /// mutex, then clear the in-flight flag. Only installs while a trip's
+  /// re-anneal is in flight: at most one is at a time, and abandon_reanneal()
+  /// clears the flag, so an abandoned (or never requested) anneal returns
+  /// false and leaves the link untouched.
   bool install(const core::SignedPermutation& next);
 
   /// Drop the in-flight flag without installing (anneal failed).
@@ -139,7 +140,7 @@ class Session {
   std::uint64_t id_;
   SessionConfig config_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards every member below, link_ included
   core::CodedLink link_;
   stats::SwitchingCounts longrun_;  ///< finished windows, merged exactly
   stats::ChunkFolder window_;       ///< current (partial) tumbling window

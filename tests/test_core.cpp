@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <random>
 #include <set>
-#include <thread>
 
 #include "core/assignment.hpp"
 #include "core/line_network.hpp"
@@ -573,67 +571,6 @@ TEST(CodedLink, RejectsMismatchedAssignment) {
   spec.name = "bus-invert";  // 7 payload bits -> 8 lines
   EXPECT_THROW(core::CodedLink(SignedPermutation::identity(7), coding::make_codec(spec, 7)),
                std::invalid_argument);
-}
-
-TEST(CodedLink, HotSwapUnderConcurrentTrafficNeverDesyncs) {
-  // The streaming service's core guarantee, at the link level: assignment
-  // hot-swaps (reset(next)) landing mid-stream between atomic roundtrips
-  // from several traffic threads must cause zero decode desyncs. Correlator
-  // is the adversarial choice — any split of the stateful tx/rx pair, or a
-  // word encoded under one assignment and unassigned under another, decodes
-  // wrongly immediately.
-  coding::CodecSpec spec;
-  spec.name = "correlator";
-  core::CodedLink link(SignedPermutation::identity(8), coding::make_codec(spec, 8));
-
-  constexpr int kTrafficThreads = 4;
-  constexpr int kWordsPerThread = 20000;
-  constexpr int kSwaps = 200;
-  std::atomic<std::uint64_t> desyncs{0};
-  std::atomic<bool> go{false};
-
-  // Even threads send word by word, odd threads in blocks of 1..64 words
-  // (one lock per block: swaps land between blocks).
-  std::vector<std::thread> traffic;
-  traffic.reserve(kTrafficThreads);
-  for (int t = 0; t < kTrafficThreads; ++t) {
-    traffic.emplace_back([&, t] {
-      std::mt19937_64 rng(101 + t);
-      std::vector<std::uint64_t> in(64), out(64);
-      while (!go.load()) {}
-      for (int k = 0; k < kWordsPerThread;) {
-        const std::size_t n =
-            t % 2 ? std::min<std::size_t>(1 + rng() % 64, kWordsPerThread - k) : 1;
-        for (std::size_t i = 0; i < n; ++i) in[i] = rng() & 0xFFu;
-        if (n == 1) {
-          out[0] = link.roundtrip(in[0]);
-        } else {
-          link.roundtrip_block(std::span(in).first(n), std::span(out).first(n));
-        }
-        for (std::size_t i = 0; i < n; ++i) desyncs.fetch_add(out[i] != in[i]);
-        k += static_cast<int>(n);
-      }
-    });
-  }
-  std::thread swapper([&] {
-    std::mt19937_64 rng(77);
-    const std::vector<std::uint8_t> invertible(8, 1);
-    while (!go.load()) {}
-    for (int s = 0; s < kSwaps; ++s) {
-      link.reset(SignedPermutation::random(8, rng, invertible));
-      std::this_thread::yield();
-    }
-  });
-
-  go.store(true);
-  for (auto& t : traffic) t.join();
-  swapper.join();
-  EXPECT_EQ(desyncs.load(), 0u);
-
-  // The link is still a synchronized pair after the last swap.
-  for (std::uint64_t w : {0x00ull, 0xFFull, 0x5Aull, 0xA5ull}) {
-    EXPECT_EQ(link.roundtrip(w), w);
-  }
 }
 
 TEST(Link, CodedChainMatchesArrayWidth) {

@@ -547,6 +547,15 @@ TEST(CodedMesh, PlannedPerLinkAssignmentsStayTransparent) {
   const SimStats cs = coded.run(1000);
   EXPECT_EQ(cs.ejection_digest, base.ejection_digest);
   EXPECT_EQ(cs.delivered, base.delivered);
+
+  // Two ranks split the 2x2x2 mesh at z, so every vertical link's transmit()
+  // and receive() run on different threads (phases a barrier apart); the
+  // lock-free link must give the 1-thread run's stats exactly.
+  SimOptions two_ranks;
+  two_ranks.threads = 2;
+  NocSimulator parallel(mesh, cfg, two_ranks);
+  parallel.attach_vertical_coding(options.spec, plan.assignments);
+  EXPECT_EQ(parallel.run(1000), cs);
 }
 
 TEST(CodedMesh, DefaultBundleGeometryIsMostSquare) {

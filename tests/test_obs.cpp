@@ -306,12 +306,14 @@ TEST_F(ObsTest, SpansNestProperlyPerThread) {
   opt::parallel_for(8, 4, [&](std::size_t i) {
     obs::Span outer("outer");
     volatile double sink = 0.0;
-    for (int k = 0; k < 2000; ++k) sink += k;
+    double acc = sink;  // starts from a volatile load, so the adds stay in the spans
+    for (int k = 0; k < 2000; ++k) acc += k;
     for (int j = 0; j < 3; ++j) {
       obs::Span inner("inner");
-      for (int k = 0; k < 500; ++k) sink += k;
+      for (int k = 0; k < 500; ++k) acc += k;
       (void)i;
     }
+    sink = acc;
   });
   obs::enable_tracing(false);
 

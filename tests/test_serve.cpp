@@ -4,6 +4,7 @@
 // reason the suite also runs under the asan and tsan presets.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -220,6 +221,69 @@ TEST(Session, DriftTripsOncePerReannealInFlight) {
   EXPECT_EQ(snap.trips, 1u);
   EXPECT_EQ(snap.swaps, 1u);
   EXPECT_EQ(snap.desyncs, 0u);
+}
+
+TEST(Session, HotSwapUnderConcurrentIngestNeverDesyncs) {
+  // The hot-swap guarantee, held by the session mutex alone (CodedLink has no
+  // lock of its own): installs racing ingest() from several threads must
+  // cause zero decode desyncs. Correlator is the adversarial codec: a word
+  // encoded under one assignment or pair state and decoded under another
+  // comes back wrong at once. A tiny window, threshold and cooldown make
+  // trips, and so landed swaps, recur all through the run.
+  auto cfg = config8();
+  cfg.drift.window_words = 16;
+  cfg.drift.threshold = 1e-9;
+  cfg.drift.cooldown_words = 1;
+  serve::Session session(7, cfg);
+
+  constexpr int kIngestThreads = 4;
+  constexpr std::uint64_t kMinWordsPerThread = 20000;
+  constexpr std::uint64_t kMaxWordsPerThread = 50 * kMinWordsPerThread;
+  constexpr std::uint64_t kSwaps = 200;
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<int> ingesting{kIngestThreads};
+  std::atomic<bool> swapper_done{false};
+  std::atomic<bool> go{false};
+
+  // Each thread sends its minimum in blocks of 1..64 words, then keeps going
+  // (up to a cap) until the swapper has landed its swaps.
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kIngestThreads; ++t) {
+    producers.emplace_back([&, t] {
+      std::mt19937_64 rng(101 + t);
+      std::vector<std::uint64_t> block(64);
+      while (!go.load()) {}
+      std::uint64_t k = 0;
+      while (k < kMaxWordsPerThread && (k < kMinWordsPerThread || !swapper_done.load())) {
+        const std::size_t n = 1 + rng() % 64;
+        for (std::size_t i = 0; i < n; ++i) block[i] = rng() & 0xFFu;
+        session.ingest(std::span(block).first(n));
+        k += n;
+      }
+      sent.fetch_add(k);
+      ingesting.fetch_sub(1);
+    });
+  }
+  std::uint64_t landed = 0;
+  std::thread swapper([&] {
+    std::mt19937_64 rng(77);
+    const std::vector<std::uint8_t> invertible(8, 1);
+    while (!go.load()) {}
+    while (landed < kSwaps && ingesting.load() > 0) {
+      landed += session.install(core::SignedPermutation::random(8, rng, invertible)) ? 1 : 0;
+      std::this_thread::yield();
+    }
+    swapper_done.store(true);
+  });
+
+  go.store(true);
+  for (auto& p : producers) p.join();
+  swapper.join();
+  const serve::SessionSnapshot snap = session.snapshot();
+  EXPECT_GE(landed, 50u);
+  EXPECT_EQ(snap.swaps, landed);
+  EXPECT_EQ(snap.desyncs, 0u);
+  EXPECT_EQ(snap.words, sent.load());
 }
 
 // --- server -----------------------------------------------------------------
