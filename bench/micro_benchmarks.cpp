@@ -1,13 +1,13 @@
 // Google-benchmark microbenchmarks: costs of the building blocks (power
-// evaluation, annealing, capacitance extraction, statistics, codecs,
-// transient simulation). These back the paper's Sec. 3 remark that the
-// optimization runtime is "negligibly low" per TSV bundle.
+// evaluation, annealing, capacitance extraction, statistics, codecs, the NoC
+// cycle; bench/circuit_propagator times the circuit sign-off). These back
+// the paper's Sec. 3 remark that the optimization runtime is "negligibly
+// low" per TSV bundle.
 #include <benchmark/benchmark.h>
 
 #include <random>
 #include <vector>
 
-#include "circuit/tsv_link_sim.hpp"
 #include "noc/simulator.hpp"
 #include "coding/bus_invert.hpp"
 #include "coding/correlator.hpp"
@@ -173,19 +173,5 @@ void BM_NocCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_NocCycle)->Unit(benchmark::kMillisecond);
-
-void BM_TransientLinkCycle(benchmark::State& state) {
-  phys::TsvArrayGeometry geom = phys::TsvArrayGeometry::itrs2018_min(3, 3);
-  const std::vector<double> pr(9, 0.5);
-  const auto cap = tsv::analytic_capacitance(geom, pr);
-  streams::UniformRandomStream src(9, 9);
-  std::vector<std::uint64_t> words;
-  for (int i = 0; i < 64; ++i) words.push_back(src.next());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit::simulate_link(geom, cap, words));
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_TransientLinkCycle)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/generators.hpp"
+#include "circuit/tsv_link_sim.hpp"
 #include "coding/factory.hpp"
 #include "coding/gray.hpp"
 #include "core/assignment_io.hpp"
@@ -27,6 +28,7 @@
 #include "streams/binary_trace.hpp"
 #include "streams/trace_io.hpp"
 #include "streams/word_stream.hpp"
+#include "tsv/analytic_model.hpp"
 #include "tsv/model_io.hpp"
 
 namespace tsvcod::check {
@@ -1096,9 +1098,11 @@ std::string describe_bin_case(const BinCase& bc) {
 // receiver decodes before the flit re-enters a ring, so the delivery stream
 // (payloads and latencies, folded into the ejection digest) and the link
 // utilization are byte-identical with and without coding, for every codec
-// family. On top of that the coded run must stay bit-identical across thread
-// counts, flits must be conserved, and bus-invert must honour its energy
-// contract (coded line toggles <= uncoded payload toggles per vertical link).
+// family, with unbounded and with bounded queues (a flit that a full ring
+// refuses must not be decoded twice). On top of that the coded run must stay
+// bit-identical across thread counts, flits must be conserved, and bus-invert
+// must honour its energy contract (coded line toggles <= uncoded payload
+// toggles per vertical link).
 
 struct NocCase {
   std::size_t nx = 2, ny = 2, nz = 2;
@@ -1107,6 +1111,7 @@ struct NocCase {
   double rate = 0.3;
   std::size_t flit_width = 16;
   std::size_t cycles = 128;
+  std::size_t queue_capacity = 0;  ///< 0 = unbounded; 1, 2, 4 turn on back-pressure
   std::uint64_t traffic_seed = 1;
   std::string codec = "bus-invert";
 };
@@ -1128,6 +1133,8 @@ NocCase gen_noc_case(Rng& rng) {
   nc.rate = rng.real(0.05, 1.0);
   nc.flit_width = rng.range(4, 24);
   nc.cycles = rng.range(32, 384);
+  static const std::size_t kCapacities[] = {0, 1, 2, 4};
+  nc.queue_capacity = kCapacities[rng.below(std::size(kCapacities))];
   nc.traffic_seed = rng.u64();
   nc.codec = kCodecs[rng.below(std::size(kCodecs))];
   return nc;
@@ -1142,10 +1149,12 @@ std::optional<std::string> check_noc_case(const NocCase& nc) {
   cfg.flit_width = nc.flit_width;
   cfg.seed = nc.traffic_seed;
 
-  noc::NocSimulator plain(mesh, cfg);
+  noc::SimOptions one;
+  one.queue_capacity = nc.queue_capacity;
+  noc::NocSimulator plain(mesh, cfg, one);
   const noc::SimStats base = plain.run(nc.cycles);
 
-  noc::NocSimulator coded(mesh, cfg);
+  noc::NocSimulator coded(mesh, cfg, one);
   coded.attach_vertical_coding({.name = nc.codec});
   const noc::SimStats cs = coded.run(nc.cycles);
 
@@ -1184,7 +1193,7 @@ std::optional<std::string> check_noc_case(const NocCase& nc) {
   }
 
   // Thread-count invariance of the coded fabric.
-  noc::SimOptions two;
+  noc::SimOptions two = one;
   two.threads = 2;
   noc::NocSimulator coded2(mesh, cfg, two);
   coded2.attach_vertical_coding({.name = nc.codec});
@@ -1221,6 +1230,11 @@ std::vector<NocCase> shrink_noc_case(const NocCase& nc) {
     c.payload = noc::PayloadModel::Random;
     out.push_back(c);
   }
+  if (nc.queue_capacity != 0) {
+    NocCase c = nc;
+    c.queue_capacity = 0;
+    out.push_back(c);
+  }
   return out;
 }
 
@@ -1229,7 +1243,115 @@ std::string describe_noc_case(const NocCase& nc) {
   os << nc.nx << 'x' << nc.ny << 'x' << nc.nz << " mesh, pattern="
      << static_cast<int>(nc.pattern) << " payload=" << static_cast<int>(nc.payload)
      << " rate=" << nc.rate << " flit_width=" << nc.flit_width << " cycles=" << nc.cycles
-     << " codec=" << nc.codec << " seed=0x" << std::hex << nc.traffic_seed;
+     << " queue_capacity=" << nc.queue_capacity << " codec=" << nc.codec << " seed=0x" << std::hex << nc.traffic_seed;
+  return os.str();
+}
+
+// --- circuit --------------------------------------------------------------
+// simulate_link's one-cycle propagator vs the TransientSim step loop it was
+// compiled from (simulate_link_stepwise), on small random arrays and
+// waveforms: edges shorter and longer than a step, 1-3 pi segments, with and
+// without inductance. Energy agrees to 1e-9 relative, cycles exactly.
+
+struct CircuitCase {
+  std::size_t rows = 1, cols = 1;
+  double frequency = 3e9;
+  int steps = 8;
+  double rise_fraction = 0.015;  ///< rise time / clock period
+  bool with_inductance = true;
+  int segments = 3;
+  std::uint64_t cap_seed = 1;
+  std::vector<std::uint64_t> words;
+};
+
+CircuitCase gen_circuit_case(Rng& rng) {
+  CircuitCase cc;
+  cc.rows = rng.range(1, 3);
+  cc.cols = rng.range(1, 3);
+  cc.frequency = rng.real(0.5e9, 5e9);
+  cc.steps = static_cast<int>(rng.range(1, 48));
+  // Up to half a period, so the edge spans several steps as often as not.
+  cc.rise_fraction = rng.real(1e-3, 0.5);
+  cc.with_inductance = rng.chance(0.5);
+  cc.segments = static_cast<int>(rng.range(1, 3));
+  cc.cap_seed = rng.u64();
+  const std::size_t n = cc.rows * cc.cols;
+  cc.words.resize(rng.range(2, 160));
+  for (auto& w : cc.words) w = rng.u64() & ((std::uint64_t{1} << n) - 1);
+  return cc;
+}
+
+std::optional<std::string> check_circuit_case(const CircuitCase& cc) {
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(cc.rows, cc.cols);
+  Rng prng(cc.cap_seed);
+  std::vector<double> probabilities(geom.count());
+  for (auto& p : probabilities) p = prng.real01();
+  const phys::Matrix cap = tsv::analytic_capacitance(geom, probabilities);
+  circuit::DriverParams driver;
+  driver.rise_time = cc.rise_fraction / cc.frequency;
+  circuit::SimOptions options;
+  options.frequency = cc.frequency;
+  options.steps_per_cycle = cc.steps;
+  options.with_inductance = cc.with_inductance;
+  options.segments = cc.segments;
+
+  const auto fast = circuit::simulate_link(geom, cap, cc.words, driver, options);
+  const auto ref = circuit::simulate_link_stepwise(geom, cap, cc.words, driver, options);
+  if (fast.cycles != cc.words.size() || ref.cycles != cc.words.size()) {
+    return "cycle count differs from the word count";
+  }
+  const double bound = 1e-9 * std::max(std::abs(fast.dynamic_energy), std::abs(ref.dynamic_energy));
+  if (!(std::abs(fast.dynamic_energy - ref.dynamic_energy) <= bound)) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "propagator energy " << fast.dynamic_energy << " J vs step loop " << ref.dynamic_energy
+       << " J (relative bound 1e-9)";
+    return os.str();
+  }
+  if (fast.leakage_power != ref.leakage_power) return "leakage power differs";
+  return std::nullopt;
+}
+
+std::vector<CircuitCase> shrink_circuit_case(const CircuitCase& cc) {
+  std::vector<CircuitCase> out;
+  if (cc.words.size() > 2) {
+    CircuitCase c = cc;
+    c.words.resize(std::max<std::size_t>(2, cc.words.size() / 2));
+    out.push_back(c);
+  }
+  const auto narrow = [&](std::size_t rows, std::size_t cols) {
+    CircuitCase c = cc;
+    c.rows = rows;
+    c.cols = cols;
+    for (auto& w : c.words) w &= (std::uint64_t{1} << (rows * cols)) - 1;
+    out.push_back(c);
+  };
+  if (cc.rows > 1) narrow(1, cc.cols);
+  if (cc.cols > 1) narrow(cc.rows, 1);
+  if (cc.segments > 1) {
+    CircuitCase c = cc;
+    c.segments = 1;
+    out.push_back(c);
+  }
+  if (cc.with_inductance) {
+    CircuitCase c = cc;
+    c.with_inductance = false;
+    out.push_back(c);
+  }
+  if (cc.steps > 1) {
+    CircuitCase c = cc;
+    c.steps = std::max(1, cc.steps / 2);
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::string describe_circuit_case(const CircuitCase& cc) {
+  std::ostringstream os;
+  os << cc.rows << 'x' << cc.cols << " array, f=" << cc.frequency << " Hz steps=" << cc.steps
+     << " rise=" << cc.rise_fraction << "*period inductance=" << cc.with_inductance
+     << " segments=" << cc.segments << " cap_seed=0x" << std::hex << cc.cap_seed
+     << " words=" << hex_words(cc.words);
   return os.str();
 }
 
@@ -1270,6 +1392,11 @@ Report oracle_noc_coded(const RunOptions& opt) {
                                  describe_noc_case);
 }
 
+Report oracle_circuit(const RunOptions& opt) {
+  return check_property<CircuitCase>("circuit", opt, gen_circuit_case, check_circuit_case,
+                                     shrink_circuit_case, describe_circuit_case);
+}
+
 std::vector<Report> run_all_oracles(const RunOptions& opt) {
   const auto sub = [&](std::uint64_t salt, std::size_t iterations) {
     RunOptions s = opt;
@@ -1288,6 +1415,8 @@ std::vector<Report> run_all_oracles(const RunOptions& opt) {
   // Each NoC case runs three full simulations; a fifth of the budget keeps
   // the wall-clock share comparable to the other oracles.
   out.push_back(oracle_noc_coded(sub(7, std::max<std::size_t>(2, opt.iterations / 5))));
+  // Each circuit case runs the step loop it checks against; same share.
+  out.push_back(oracle_circuit(sub(8, std::max<std::size_t>(2, opt.iterations / 5))));
   return out;
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// The seven differential oracles of the correctness harness.
+// The eight differential oracles of the correctness harness.
 //
 // Each oracle is an independent property run through check_property(): a
 // structured generator, a checker that compares two implementations of the
@@ -35,7 +35,12 @@
 //                     ejection digest), link utilization unchanged, flits
 //                     conserved, the coded run bit-identical at 1 vs 2
 //                     threads, and bus-invert's coded line toggles bounded by
-//                     the uncoded payload toggles on every vertical link.
+//                     the uncoded payload toggles on every vertical link;
+//                     queues unbounded or bounded (1, 2, 4 flits).
+//   circuit           simulate_link's one-cycle propagator vs the
+//                     TransientSim step loop (simulate_link_stepwise) on
+//                     random small arrays, clocks, edges, ladders and words:
+//                     energy to 1e-9 relative, cycle count exact.
 
 #include "check/check.hpp"
 
@@ -48,6 +53,7 @@ Report oracle_field_consistency(const RunOptions& opt);
 Report oracle_io_roundtrip(const RunOptions& opt);
 Report oracle_binary_roundtrip(const RunOptions& opt);
 Report oracle_noc_coded(const RunOptions& opt);
+Report oracle_circuit(const RunOptions& opt);
 
 /// Run every oracle with per-oracle iteration budgets scaled from
 /// `opt.iterations` (field solves are expensive, codec round-trips cheap).

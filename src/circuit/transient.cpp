@@ -20,8 +20,12 @@ TransientSim::TransientSim(const Netlist& netlist, double dt) : net_(netlist), d
   dim_ = n_nodes_ + n_src_ + n_ind_;
   if (dim_ == 0) throw std::invalid_argument("TransientSim: empty netlist");
   x_.assign(static_cast<std::size_t>(dim_), 0.0);
-  rhs_.assign(static_cast<std::size_t>(dim_), 0.0);
-  cap_v_.assign(net_.capacitors().size(), 0.0);
+  next_.assign(static_cast<std::size_t>(dim_), 0.0);
+  v_src_.resize(static_cast<std::size_t>(n_src_));
+  for (int s = 0; s < n_src_; ++s) {
+    v_src_[static_cast<std::size_t>(s)] = net_.sources()[static_cast<std::size_t>(s)].v(0.0);
+  }
+  v_next_.assign(static_cast<std::size_t>(n_src_), 0.0);
   src_energy_.assign(static_cast<std::size_t>(n_src_), 0.0);
   src_charge_pos_.assign(static_cast<std::size_t>(n_src_), 0.0);
   assemble();
@@ -104,28 +108,24 @@ void TransientSim::factorize() {
   }
 }
 
-void TransientSim::solve_step() {
-  const int n = dim_;
+void TransientSim::solve(std::span<double> b) const {
+  const std::size_t n = static_cast<std::size_t>(dim_);
+  const double* lu = lu_.data().data();
   // Apply row permutation, then forward/back substitution.
-  for (int k = 0; k < n; ++k) {
-    const int p = pivot_[static_cast<std::size_t>(k)];
-    if (p != k) std::swap(rhs_[static_cast<std::size_t>(k)], rhs_[static_cast<std::size_t>(p)]);
-    for (int c = 0; c < k; ++c) {
-      rhs_[static_cast<std::size_t>(k)] -=
-          lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(c)) *
-          rhs_[static_cast<std::size_t>(c)];
-    }
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto p = static_cast<std::size_t>(pivot_[k]);
+    if (p != k) std::swap(b[k], b[p]);
+    const double* row = lu + k * n;
+    double v = b[k];
+    for (std::size_t c = 0; c < k; ++c) v -= row[c] * b[c];
+    b[k] = v;
   }
-  for (int k = n - 1; k >= 0; --k) {
-    double v = rhs_[static_cast<std::size_t>(k)];
-    for (int c = k + 1; c < n; ++c) {
-      v -= lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(c)) *
-           rhs_[static_cast<std::size_t>(c)];
-    }
-    rhs_[static_cast<std::size_t>(k)] =
-        v / lu_(static_cast<std::size_t>(k), static_cast<std::size_t>(k));
+  for (std::size_t k = n; k-- > 0;) {
+    const double* row = lu + k * n;
+    double v = b[k];
+    for (std::size_t c = k + 1; c < n; ++c) v -= row[c] * b[c];
+    b[k] = v / row[k];
   }
-  x_ = rhs_;
 }
 
 double TransientSim::node_voltage(int node) const {
@@ -153,62 +153,61 @@ double TransientSim::source_positive_charge(int id) const {
   return src_charge_pos_[static_cast<std::size_t>(id)];
 }
 
-void TransientSim::step() {
-  const double t_next = t_ + dt_;
-  std::fill(rhs_.begin(), rhs_.end(), 0.0);
+std::size_t TransientSim::source_state_index(int id) const {
+  if (id < 0 || id >= n_src_) throw std::invalid_argument("source_state_index: unknown source");
+  return static_cast<std::size_t>(n_nodes_ + id);
+}
 
-  // Capacitor history currents (backward-Euler companion: G = C/dt).
-  for (std::size_t k = 0; k < net_.capacitors().size(); ++k) {
-    const auto& c = net_.capacitors()[k];
-    const double hist = c.farads / dt_ * cap_v_[k];
-    if (c.a != kGround) rhs_[static_cast<std::size_t>(c.a - 1)] += hist;
-    if (c.b != kGround) rhs_[static_cast<std::size_t>(c.b - 1)] -= hist;
+void TransientSim::advance(std::span<const double> state, std::span<const double> source_volts,
+                           std::span<double> next) const {
+  if (state.size() != x_.size() || next.size() != x_.size() ||
+      source_volts.size() != v_src_.size()) {
+    throw std::invalid_argument("TransientSim::advance: state or source size mismatch");
   }
-  // Source voltages at the new time.
-  std::vector<double> v_src(static_cast<std::size_t>(n_src_));
+  std::fill(next.begin(), next.end(), 0.0);
+  // Capacitor history currents (backward-Euler companion: G = C/dt).
+  for (const auto& c : net_.capacitors()) {
+    const double va = c.a == kGround ? 0.0 : state[static_cast<std::size_t>(c.a - 1)];
+    const double vb = c.b == kGround ? 0.0 : state[static_cast<std::size_t>(c.b - 1)];
+    const double hist = c.farads / dt_ * (va - vb);
+    if (c.a != kGround) next[static_cast<std::size_t>(c.a - 1)] += hist;
+    if (c.b != kGround) next[static_cast<std::size_t>(c.b - 1)] -= hist;
+  }
   for (int s = 0; s < n_src_; ++s) {
-    v_src[static_cast<std::size_t>(s)] = net_.sources()[static_cast<std::size_t>(s)].v(t_next);
-    rhs_[static_cast<std::size_t>(n_nodes_ + s)] = v_src[static_cast<std::size_t>(s)];
+    next[static_cast<std::size_t>(n_nodes_ + s)] = source_volts[static_cast<std::size_t>(s)];
   }
   // Inductor history (backward Euler: v = (L/dt)(i_new - i_old)).
   for (int l = 0; l < n_ind_; ++l) {
-    const auto& ind = net_.inductors()[static_cast<std::size_t>(l)];
-    const double i_prev = x_[static_cast<std::size_t>(n_nodes_ + n_src_ + l)];
-    rhs_[static_cast<std::size_t>(n_nodes_ + n_src_ + l)] = -ind.henries / dt_ * i_prev;
+    const auto row = static_cast<std::size_t>(n_nodes_ + n_src_ + l);
+    next[row] = -net_.inductors()[static_cast<std::size_t>(l)].henries / dt_ * state[row];
   }
+  solve(next);
+}
 
-  // Previous source powers/currents for trapezoidal integration.
-  std::vector<double> p_prev(static_cast<std::size_t>(n_src_));
-  std::vector<double> i_prev(static_cast<std::size_t>(n_src_));
+void TransientSim::step() {
+  const double t_next = static_cast<double>(steps_ + 1) * dt_;
   for (int s = 0; s < n_src_; ++s) {
-    const double v_old = net_.sources()[static_cast<std::size_t>(s)].v(t_);
-    i_prev[static_cast<std::size_t>(s)] = source_current(s);
-    p_prev[static_cast<std::size_t>(s)] = v_old * i_prev[static_cast<std::size_t>(s)];
+    v_next_[static_cast<std::size_t>(s)] = net_.sources()[static_cast<std::size_t>(s)].v(t_next);
   }
+  advance(x_, v_next_, next_);
 
-  solve_step();
-  t_ = t_next;
-
-  // Update capacitor voltage histories with the new node voltages.
-  for (std::size_t k = 0; k < net_.capacitors().size(); ++k) {
-    const auto& c = net_.capacitors()[k];
-    const double va = c.a == kGround ? 0.0 : x_[static_cast<std::size_t>(c.a - 1)];
-    const double vb = c.b == kGround ? 0.0 : x_[static_cast<std::size_t>(c.b - 1)];
-    cap_v_[k] = va - vb;
-  }
-  // Accumulate delivered energies and sourced charge (trapezoid).
+  // Accumulate delivered energies and sourced charge (trapezoid). The
+  // delivered current is the negated MNA branch current.
   for (int s = 0; s < n_src_; ++s) {
-    const double i_new = source_current(s);
-    const double p_new = v_src[static_cast<std::size_t>(s)] * i_new;
-    src_energy_[static_cast<std::size_t>(s)] +=
-        0.5 * (p_prev[static_cast<std::size_t>(s)] + p_new) * dt_;
-    src_charge_pos_[static_cast<std::size_t>(s)] +=
-        0.5 * (std::max(0.0, i_prev[static_cast<std::size_t>(s)]) + std::max(0.0, i_new)) * dt_;
+    const auto k = static_cast<std::size_t>(s);
+    const auto row = static_cast<std::size_t>(n_nodes_ + s);
+    const double i_old = -x_[row];
+    const double i_new = -next_[row];
+    src_energy_[k] += 0.5 * (v_src_[k] * i_old + v_next_[k] * i_new) * dt_;
+    src_charge_pos_[k] += 0.5 * (std::max(0.0, i_old) + std::max(0.0, i_new)) * dt_;
   }
+  x_.swap(next_);
+  v_src_.swap(v_next_);
+  ++steps_;
 }
 
 void TransientSim::run_until(double t_end) {
-  while (t_ + 0.5 * dt_ < t_end) step();
+  while (time() + 0.5 * dt_ < t_end) step();
 }
 
 }  // namespace tsvcod::circuit

@@ -63,9 +63,22 @@ LinkNetlist build_link_netlist(const phys::TsvArrayGeometry& geom, const phys::M
                                const DriverParams& driver = {}, const SimOptions& options = {});
 
 /// Simulate the transmission of `line_words` (one word per cycle, bit k on
-/// TSV k) over the array with capacitances `cap` (paper form, farads).
+/// TSV k) over the array with capacitances `cap` (paper form, farads). The
+/// lines idle at 0 before the first word. Runs the backward-Euler step loop
+/// of `TransientSim` compiled into one affine map per clock cycle (DESIGN
+/// §5m), so a cycle costs one matrix-vector product whatever
+/// `steps_per_cycle` is. Opens a `circuit.simulate` span with work counter
+/// `cycles`.
 LinkSimResult simulate_link(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
                             std::span<const std::uint64_t> line_words,
                             const DriverParams& driver = {}, const SimOptions& options = {});
+
+/// The same simulation stepped through `TransientSim` with bit waveforms on
+/// the sources, `steps_per_cycle` LU solves per cycle: the reference that
+/// `simulate_link` is checked against (the `circuit` oracle).
+LinkSimResult simulate_link_stepwise(const phys::TsvArrayGeometry& geom, const phys::Matrix& cap,
+                                     std::span<const std::uint64_t> line_words,
+                                     const DriverParams& driver = {},
+                                     const SimOptions& options = {});
 
 }  // namespace tsvcod::circuit

@@ -83,6 +83,8 @@ class Router {
   std::size_t queued(Direction port) const {
     return in_[static_cast<std::size_t>(port)].size();
   }
+  /// True when `port`'s bounded ring is full, i.e. `accept` would refuse.
+  bool full(Direction port) const { return in_[static_cast<std::size_t>(port)].full(); }
 
   /// Pick at most one flit per output port this cycle. `blocked_mask` bit d
   /// marks output ports whose downstream register is still occupied

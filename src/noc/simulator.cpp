@@ -246,21 +246,22 @@ void NocSimulator::phase_transfer(std::size_t begin, std::size_t end, std::size_
     while (incoming != 0) {
       const int d = std::countr_zero(incoming) >> 3;
       incoming &= incoming - 1;
+      const auto port = static_cast<Direction>(d);
+      // A full bounded ring leaves the register occupied, which is exactly
+      // the blocked-mask back-pressure the sender sees in phase A. Test it
+      // before decoding: a stateful decoder must see each line word once.
+      if (router.full(port)) continue;
       const std::size_t reg = base + static_cast<std::size_t>(d);
       const std::size_t sender = nbr_[r * 6 + static_cast<std::size_t>(d ^ 1)];
-      const std::size_t slot = link_slot(sender, static_cast<Direction>(d));
+      const std::size_t slot = link_slot(sender, port);
       PackedFlit f;
       f.payload = coded_[slot] ? coded_[slot]->receive(reg_line_[reg]) : reg_payload_[reg];
       f.dst = reg_dst_[reg];
       f.injected = reg_injected_[reg];
-      const Direction out = route_of(r, f.dst);
-      if (router.accept(static_cast<Direction>(d), f, out)) {
-        reg_valid_[reg] = 0;
-        occ_[r] |= static_cast<std::uint8_t>(1u << d);
-        ++q_[r];
-      }
-      // else: the bounded ring is full — the register stays occupied, which
-      // is exactly the blocked-mask back-pressure the sender sees in phase A.
+      router.accept(port, f, route_of(r, f.dst));
+      reg_valid_[reg] = 0;
+      occ_[r] |= static_cast<std::uint8_t>(1u << d);
+      ++q_[r];
     }
     // Ejection: the flit this router granted to its own Local port.
     if (valid8 & 0x00FF000000000000ull) {

@@ -44,6 +44,8 @@ TEST(Oracles, IoRoundtrip) { expect_ok(check::oracle_io_roundtrip(opts_with(60))
 
 TEST(Oracles, NocCoded) { expect_ok(check::oracle_noc_coded(opts_with(12))); }
 
+TEST(Oracles, Circuit) { expect_ok(check::oracle_circuit(opts_with(12))); }
+
 // --- Harness machinery ------------------------------------------------------
 
 TEST(Harness, Splitmix64MatchesReferenceVectors) {

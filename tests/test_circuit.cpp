@@ -2,7 +2,9 @@
 // validated against closed-form RC/RL results and the analytic energy model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -117,6 +119,48 @@ TEST(Transient, CouplingChargesNeighbour) {
   EXPECT_LT(peak_b, 1.0);
 }
 
+TEST(Transient, TimeIsStepCountTimesDtExactly) {
+  // A period/40 step at 3 GHz is not a binary fraction: a running sum of
+  // it leaves n·dt after a handful of steps.
+  Netlist net;
+  const int s = net.add_node();
+  net.vsource(s, Netlist::kGround, dc(1.0));
+  net.resistor(s, Netlist::kGround, 100.0);
+  const double dt = (1.0 / 3e9) / 40;
+  TransientSim sim(net, dt);
+  EXPECT_EQ(sim.time(), 0.0);
+  for (int n = 1; n <= 40000; ++n) {
+    sim.step();
+    ASSERT_EQ(sim.time(), static_cast<double>(n) * dt) << "after " << n << " steps";
+  }
+}
+
+TEST(Transient, AdvanceFromAnyStateIsTheStep) {
+  // step() is advance() from the current state under the sources' voltages
+  // at the end of the step.
+  Netlist net;
+  const int s = net.add_node();
+  const int mid = net.add_node();
+  const int out = net.add_node();
+  net.vsource(s, Netlist::kGround, bit_waveform({1, 0, 1}, 1e-10, 2e-11, 1.0));
+  net.resistor(s, mid, 50.0);
+  net.inductor(mid, out, 1e-11);
+  net.capacitor(out, Netlist::kGround, 1e-14);
+  TransientSim sim(net, 1e-12);
+  ASSERT_EQ(sim.state_size(), 5u);  // 3 nodes, 1 source, 1 inductor
+  std::vector<double> state(sim.state_size(), 0.0), next(sim.state_size());
+  for (int k = 0; k < 250; ++k) {
+    const std::vector<double> volts{net.sources()[0].v(static_cast<double>(k + 1) * 1e-12)};
+    sim.advance(state, volts, next);
+    sim.step();
+    ASSERT_EQ(sim.node_voltage(out), next[static_cast<std::size_t>(out - 1)]) << "step " << k;
+    ASSERT_EQ(sim.source_current(0), -next[sim.source_state_index(0)]) << "step " << k;
+    state = next;
+  }
+  const std::vector<double> wrong(2, 0.0);
+  EXPECT_THROW(sim.advance(state, wrong, next), std::invalid_argument);
+}
+
 TEST(TsvParasitics, ResistanceAndInductanceScale) {
   auto g1 = phys::TsvArrayGeometry::itrs2018_min(1, 1);
   auto g2 = phys::TsvArrayGeometry::itrs2018_relaxed(1, 1);
@@ -194,6 +238,49 @@ TEST(LinkSim, InputValidation) {
   phys::Matrix wrong(3, 3);
   std::vector<std::uint64_t> words(4, 0);
   EXPECT_THROW(simulate_link(geom, wrong, words), std::invalid_argument);
+  DriverParams slow;
+  slow.rise_time = 1.0 / 3e9;  // an edge as long as the clock period
+  EXPECT_THROW(simulate_link(geom, cap, words, slow), std::invalid_argument);
+  SimOptions no_steps;
+  no_steps.steps_per_cycle = 0;
+  EXPECT_THROW(simulate_link(geom, cap, words, {}, no_steps), std::invalid_argument);
+}
+
+TEST(LinkSim, PropagatorMatchesTheStepLoop) {
+  // simulate_link compiles the step loop into one map per cycle; it must
+  // reproduce simulate_link_stepwise to rounding, also with edges spanning
+  // several steps and without inductance.
+  struct Shape {
+    std::size_t rows, cols;
+    int steps;
+    double rise;
+    bool inductance;
+    int segments;
+  };
+  const Shape shapes[] = {{2, 2, 40, 5e-12, true, 3},
+                          {3, 3, 24, 5e-12, true, 3},
+                          {2, 3, 6, 100e-12, false, 1},
+                          {1, 3, 9, 60e-12, true, 2}};
+  std::mt19937_64 rng(11);
+  for (const Shape& sh : shapes) {
+    const auto geom = phys::TsvArrayGeometry::itrs2018_min(sh.rows, sh.cols);
+    const auto cap = tsv::analytic_capacitance(geom, std::vector<double>(geom.count(), 0.4));
+    std::vector<std::uint64_t> words(300);
+    for (auto& w : words) w = rng() & ((std::uint64_t{1} << geom.count()) - 1);
+    DriverParams drv;
+    drv.rise_time = sh.rise;
+    SimOptions opts;
+    opts.steps_per_cycle = sh.steps;
+    opts.with_inductance = sh.inductance;
+    opts.segments = sh.segments;
+    const auto fast = simulate_link(geom, cap, words, drv, opts);
+    const auto ref = simulate_link_stepwise(geom, cap, words, drv, opts);
+    EXPECT_EQ(fast.cycles, ref.cycles);
+    EXPECT_NEAR(fast.dynamic_energy / ref.dynamic_energy, 1.0, 1e-9)
+        << sh.rows << "x" << sh.cols << " steps=" << sh.steps;
+    EXPECT_NEAR(fast.dynamic_power / ref.dynamic_power, 1.0, 1e-9);
+    EXPECT_EQ(fast.leakage_power, ref.leakage_power);
+  }
 }
 
 }  // namespace

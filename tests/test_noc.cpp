@@ -506,6 +506,30 @@ TEST(CodedMesh, DeliversByteIdenticalPayloadsAndLatencies) {
   EXPECT_THROW(coded.attach_vertical_coding({.name = "bus-invert"}), std::logic_error);
 }
 
+TEST(CodedMesh, StatefulDecodersSeeEachLineWordOnceUnderBackPressure) {
+  // A flit refused by a full bounded ring stays in its register for the
+  // next cycle. Its line word must not be decoded until the ring takes it:
+  // a stateful decoder (correlator, t0) would otherwise advance twice.
+  Mesh3D mesh(2, 2, 3);
+  TrafficConfig cfg;
+  cfg.spatial = SpatialPattern::Hotspot;
+  cfg.injection_rate = 1.0;
+  cfg.flit_width = 8;  // narrow enough that t0 takes its increment path
+  SimOptions options;
+  options.queue_capacity = 1;
+
+  NocSimulator plain(mesh, cfg, options);
+  const SimStats base = plain.run(500);
+  ASSERT_GT(base.stalled_cycles, 0u) << "the repro needs back-pressure";
+  for (const char* codec : {"correlator", "t0", "bus-invert"}) {
+    NocSimulator coded(mesh, cfg, options);
+    coded.attach_vertical_coding({.name = codec});
+    const SimStats cs = coded.run(500);
+    EXPECT_EQ(cs.ejection_digest, base.ejection_digest) << codec;
+    EXPECT_EQ(cs.delivered, base.delivered) << codec;
+  }
+}
+
 TEST(CodedMesh, RejectsMisalignedAssignments) {
   Mesh3D mesh(2, 2, 2);
   NocSimulator sim(mesh, TrafficConfig{});

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/tsv_link_sim.hpp"
 #include "core/link.hpp"
 #include "field/extractor.hpp"
 #include "obs/benchdiff.hpp"
@@ -24,6 +25,7 @@
 #include "obs/snapshot.hpp"
 #include "opt/parallel.hpp"
 #include "streams/random_streams.hpp"
+#include "tsv/analytic_model.hpp"
 
 namespace {
 
@@ -174,6 +176,25 @@ TEST_F(ProfileTest, InstrumentedSubsystemsAppearInTree) {
   ASSERT_NE(solve, nullptr);
   EXPECT_GE(solve->find("count")->number, 4.0);  // one per conductor of the 2x2
   EXPECT_GT(solve->find("work")->find("iterations")->number, 0.0);
+}
+
+TEST_F(ProfileTest, CircuitSimulateSpanCountsCycles) {
+  // A profiled sign-off yields cycles/s on its own: the span's wall time
+  // and its `cycles` work counter.
+  const auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);
+  const auto cap = tsv::analytic_capacitance(geom, std::vector<double>(4, 0.5));
+  std::vector<std::uint64_t> words;
+  for (std::uint64_t i = 0; i < 96; ++i) words.push_back(i & 15u);
+  obs::enable_profiling(true);
+  circuit::simulate_link(geom, cap, words);
+  circuit::simulate_link(geom, cap, std::span(words).first(10));
+  obs::enable_profiling(false);
+
+  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  const json::Value* sim = child_named(*doc.find("roots"), "circuit.simulate");
+  ASSERT_NE(sim, nullptr);
+  EXPECT_EQ(sim->find("count")->number, 2.0);
+  EXPECT_EQ(sim->find("work")->find("cycles")->number, 106.0);
 }
 
 // ---------------------------------------------------------------------------

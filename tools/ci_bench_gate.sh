@@ -45,6 +45,9 @@ echo "== quick bench reruns =="
 "$BUILD/bench/trace_ingest" --words 262144 --reps 2 --out "$TMP/trace_io.json" --dir "$TMP" || true
 "$BUILD/bench/serve_throughput" --words 65536 --reps 2 --out "$TMP/serve.json" || true
 "$BUILD/bench/noc_mesh" --cycles 400 --reps 1 --out "$TMP/noc.json" || true
+# Same cycle count as the committed baseline: the propagator's cycles/s
+# include its per-netlist precompute, so a shorter window would read slower.
+"$BUILD/bench/circuit_propagator" --cycles 1000 --reps 1 --out "$TMP/circuit.json" || true
 
 echo
 echo "== regression gates (tolerance ${TOLERANCE}%) =="
@@ -85,6 +88,9 @@ gate serve "$REPO/BENCH_serve.json" "$TMP/serve.json" \
 gate noc "$REPO/BENCH_noc.json" "$TMP/noc.json" \
   --metric-tolerance mflits_per_sec=95 --metric-tolerance speedup=95 \
   --metric-tolerance vlink_toggles=99999 --metric-tolerance toggle_reduction_pct=95
+
+# energies_match (propagator vs step loop within 1e-9) gates exactly.
+gate circuit "$REPO/BENCH_circuit.json" "$TMP/circuit.json"
 
 if [ "$fail" -ne 0 ]; then
   echo "ci_bench_gate: FAILED"

@@ -26,7 +26,7 @@ void usage(std::ostream& os) {
   os << "usage: tsvcod_fuzz [--iters N] [--seed S] [--oracle NAME]\n"
         "  --iters N    iterations per oracle (default 500; TSVCOD_CHECK_ITERS overrides)\n"
         "  --seed S     base seed (decimal or 0x-hex; default harness seed)\n"
-        "  --oracle X   one of codec|evaluator|stats|field|io|binary|noc|all (default io)\n"
+        "  --oracle X   one of codec|evaluator|stats|field|io|binary|noc|circuit|all (default io)\n"
         "The io and binary oracles are the parser fuzzers proper (text formats\n"
         "and the .tsvb binary trace format); the others are the same\n"
         "differential properties the `check` ctest label runs, for deep soaks.\n";
@@ -95,6 +95,8 @@ int main(int argc, char** argv) {
       reports.push_back(tsvcod::check::oracle_binary_roundtrip(opt));
     } else if (oracle == "noc") {
       reports.push_back(tsvcod::check::oracle_noc_coded(opt));
+    } else if (oracle == "circuit") {
+      reports.push_back(tsvcod::check::oracle_circuit(opt));
     } else {
       std::cerr << "tsvcod_fuzz: unknown oracle '" << oracle << "'\n\n";
       usage(std::cerr);
