@@ -842,23 +842,164 @@ std::string describe_field_case(const FieldCase& fc) {
 // Oracle 5: text format round-trips and parser fuzzing.
 // ---------------------------------------------------------------------------
 
+/// One line of a generated text trace (the generative leg below).
+struct GenLine {
+  enum class Kind { word, bad, filler, directive };  // filler: a blank line or a comment
+  Kind kind = Kind::word;
+  std::string lead;    ///< trim characters before the token
+  std::string token;   ///< a rendered word, a planted bad token, a comment,
+                       ///< or the directive's keyword and separator
+  std::string trail;   ///< trim characters after the token
+  std::uint64_t value = 0;  ///< the word a `word` line holds
+  bool crlf = false;
+};
+
 struct IoCase {
-  int kind = 0;  ///< 0 = trace, 1 = model, 2 = assignment
+  int kind = 0;  ///< 0 = trace, 1 = model, 2 = assignment, 3 = generated trace
   std::string text;
   bool mutated = false;
+  // Kind 3 only: the plan `text` is rendered from (render_generated).
+  std::vector<GenLine> lines;
+  bool final_newline = true;
 };
 
 const char* io_kind_name(int kind) {
   switch (kind) {
     case 0: return "trace";
     case 1: return "model";
-    default: return "assignment";
+    case 2: return "assignment";
+    default: return "generated trace";
   }
 }
 
-IoCase gen_io_case(Rng& rng) {
+/// A generated trace's text with the words it holds and, when a bad token
+/// was planted, where the parser must report it.
+struct RenderedTrace {
+  std::string text;
+  std::vector<std::uint64_t> words;
+  std::size_t bad_line = 0;  ///< 1-based; 0 = no bad token
+  std::size_t bad_offset = 0;
+  std::string bad_token;
+};
+
+RenderedTrace render_generated(const std::vector<GenLine>& lines, bool final_newline) {
+  RenderedTrace r;
+  const auto count = static_cast<std::size_t>(std::count_if(
+      lines.begin(), lines.end(), [](const GenLine& l) { return l.kind == GenLine::Kind::word; }));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const GenLine& l = lines[i];
+    r.text += l.lead;
+    if (l.kind == GenLine::Kind::bad && r.bad_line == 0) {
+      r.bad_line = i + 1;
+      r.bad_offset = r.text.size();
+      r.bad_token = l.token;
+    }
+    r.text += l.token;
+    if (l.kind == GenLine::Kind::directive) r.text += std::to_string(count);
+    if (l.kind == GenLine::Kind::word) r.words.push_back(l.value);
+    r.text += l.trail;
+    if (i + 1 < lines.size() || final_newline) r.text += l.crlf ? "\r\n" : "\n";
+  }
+  return r;
+}
+
+/// `v` as a trace token: decimal, or hex behind 0x/0X in either digit case,
+/// sometimes with leading zeros.
+std::string render_word(Rng& rng, std::uint64_t v) {
+  const std::string zeros(rng.chance(0.2) ? 1 + rng.below(3) : 0, '0');
+  if (rng.chance(0.4)) return zeros + std::to_string(v);
+  std::ostringstream os;
+  if (rng.chance(0.5)) os << std::uppercase;
+  os << std::hex << v;
+  return (rng.chance(0.5) ? "0x" : "0X") + zeros + os.str();
+}
+
+/// A token the parser must reject, derived from a valid rendering `w`.
+std::string render_bad(Rng& rng, const std::string& w) {
+  switch (rng.below(5)) {
+    case 0: return std::string(1, "-+\v\f"[rng.below(4)]) + w;  // sign or control prefix
+    case 1: return w + "gx.-\v"[rng.below(5)];                   // trailing garbage
+    case 2: {  // whitespace inside the token
+      if (w.size() < 2) return w + "z";
+      std::string t = w;
+      t.insert(1 + rng.below(w.size() - 1), 1, rng.chance(0.5) ? ' ' : '\t');
+      return t;
+    }
+    case 3: {  // overflow
+      static const char* const kOverflow[] = {"18446744073709551616", "0x10000000000000000",
+                                              "0X1FFFFFFFFFFFFFFFF", "99999999999999999999"};
+      return kOverflow[rng.below(4)];
+    }
+    default: {  // no digits, or a malformed directive
+      static const char* const kEmpty[] = {"0x", "0X", "words", "words x", "wordsx 5", "x12"};
+      return kEmpty[rng.below(6)];
+    }
+  }
+}
+
+std::string gen_trim(Rng& rng) {
+  std::string t;
+  if (rng.chance(0.25)) {
+    for (std::size_t k = 1 + rng.below(3); k > 0; --k) t += " \t\r"[rng.below(3)];
+  }
+  return t;
+}
+
+/// Random words in random formats: decimal and hex, padding, CRLF or mixed
+/// endings, comments, blank lines, a directive or none, a final newline or
+/// none, and sometimes one planted bad token.
+IoCase gen_generated_trace(Rng& rng) {
   IoCase io;
-  io.kind = static_cast<int>(rng.below(3));
+  io.kind = 3;
+  const std::size_t width = 1 + rng.below(64);
+  auto words = gen_trace(rng, width, rng.below(40));
+  if (!words.empty() && rng.chance(0.2)) words[rng.below(words.size())] = ~std::uint64_t{0};
+  const double crlf = rng.chance(0.5) ? 0.0 : rng.chance(0.5) ? 1.0 : 0.5;
+  const auto line = [&](GenLine::Kind kind, std::string token) {
+    GenLine l;
+    l.kind = kind;
+    l.lead = gen_trim(rng);
+    l.token = std::move(token);
+    l.trail = gen_trim(rng);
+    l.crlf = rng.chance(crlf);
+    return l;
+  };
+  const auto filler = [&] {
+    if (rng.chance(0.5)) return line(GenLine::Kind::filler, "");
+    std::string comment = "#";
+    for (std::size_t k = rng.below(12); k > 0; --k) {
+      comment += static_cast<char>(' ' + rng.below(95));
+    }
+    return line(GenLine::Kind::filler, comment);
+  };
+  const std::size_t directive_at =
+      rng.chance(0.5) ? (rng.chance(0.6) ? 0 : rng.below(words.size() + 1)) : std::string::npos;
+  for (std::size_t i = 0; i <= words.size(); ++i) {
+    while (rng.chance(0.15)) io.lines.push_back(filler());
+    if (i == directive_at) {
+      io.lines.push_back(line(GenLine::Kind::directive, rng.chance(0.8) ? "words " : "words\t"));
+    }
+    if (i == words.size()) break;
+    GenLine l = line(GenLine::Kind::word, render_word(rng, words[i]));
+    l.value = words[i];
+    io.lines.push_back(std::move(l));
+  }
+  if (rng.chance(0.3)) {
+    GenLine bad = line(GenLine::Kind::bad, "");
+    bad.token = render_bad(rng, render_word(rng, rng.u64() >> rng.below(64)));
+    io.lines.insert(io.lines.begin() + static_cast<std::ptrdiff_t>(rng.below(io.lines.size() + 1)),
+                    std::move(bad));
+  }
+  io.final_newline = rng.chance(0.6);
+  io.text = render_generated(io.lines, io.final_newline).text;
+  return io;
+}
+
+IoCase gen_io_case(Rng& rng) {
+  const int kind = static_cast<int>(rng.below(4));
+  if (kind == 3) return gen_generated_trace(rng);
+  IoCase io;
+  io.kind = kind;
   std::ostringstream os;
   switch (io.kind) {
     case 0: {
@@ -883,6 +1024,34 @@ IoCase gen_io_case(Rng& rng) {
   return io;
 }
 
+/// The parse of a generated trace must equal the generated words, or, with a
+/// planted bad token, fail naming that token's line and byte offset.
+std::optional<std::string> check_generated_trace(const IoCase& io) {
+  const RenderedTrace r = render_generated(io.lines, io.final_newline);
+  std::istringstream is(r.text);
+  try {
+    const auto got = streams::parse_trace(is);
+    if (r.bad_line != 0) {
+      return "planted bad token '" + r.bad_token + "' at line " + std::to_string(r.bad_line) +
+             " was accepted";
+    }
+    if (got != r.words) {
+      return "parsed " + std::to_string(got.size()) + " words differ from the " +
+             std::to_string(r.words.size()) + " generated ones";
+    }
+  } catch (const std::runtime_error& e) {
+    if (r.bad_line == 0) return std::string("generated trace rejected: ") + e.what();
+    const std::string want = "at line " + std::to_string(r.bad_line) + " (byte offset " +
+                             std::to_string(r.bad_offset) + "): '" + r.bad_token + "'";
+    if (std::string(e.what()).find(want) == std::string::npos) {
+      return std::string("error names the wrong place: ") + e.what() + " (want " + want + ")";
+    }
+  } catch (const std::exception& e) {
+    return std::string("parser leaked a non-runtime_error exception: ") + e.what();
+  }
+  return std::nullopt;
+}
+
 /// Parse `text` and return its canonical re-saved form. Throws whatever the
 /// parser throws.
 std::string parse_and_resave(int kind, const std::string& text) {
@@ -897,6 +1066,7 @@ std::string parse_and_resave(int kind, const std::string& text) {
 }
 
 std::optional<std::string> check_io_case(const IoCase& io) {
+  if (io.kind == 3) return check_generated_trace(io);
   std::string saved1;
   try {
     saved1 = parse_and_resave(io.kind, io.text);
@@ -926,6 +1096,16 @@ std::optional<std::string> check_io_case(const IoCase& io) {
 
 std::vector<IoCase> shrink_io_case(const IoCase& io) {
   std::vector<IoCase> out;
+  if (io.kind == 3) {
+    // Drop one planned line at a time; the directive's count follows.
+    for (std::size_t k = 0; k < io.lines.size() && k < 32; ++k) {
+      IoCase c = io;
+      c.lines.erase(c.lines.begin() + static_cast<std::ptrdiff_t>(k));
+      c.text = render_generated(c.lines, c.final_newline).text;
+      out.push_back(std::move(c));
+    }
+    return out;
+  }
   // Drop one line at a time, then halve by truncation.
   std::vector<std::size_t> starts{0};
   for (std::size_t p = 0; p < io.text.size(); ++p) {
@@ -951,6 +1131,19 @@ std::vector<IoCase> shrink_io_case(const IoCase& io) {
 }
 
 std::string describe_io_case(const IoCase& io) {
+  if (io.kind == 3) {
+    std::ostringstream os;  // control characters are the point here: show them
+    os << io_kind_name(io.kind) << (io.final_newline ? "" : " (no final newline)") << " <<<\n";
+    for (const char ch : io.text.substr(0, 400)) {
+      if (ch == '\n' || (ch >= ' ' && ch <= '~')) {
+        os << ch;
+      } else {
+        os << "\\x" << std::hex << (static_cast<unsigned>(ch) & 0xFFu) << std::dec;
+      }
+    }
+    os << "\n>>>";
+    return os.str();
+  }
   std::string shown = io.text.substr(0, 400);
   if (shown.size() < io.text.size()) shown += "...(truncated)";
   return std::string(io_kind_name(io.kind)) + (io.mutated ? " (mutated)" : " (pristine)") +

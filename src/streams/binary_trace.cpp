@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "streams/word_stream.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TSVCOD_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#endif
 
 namespace tsvcod::streams {
 
@@ -248,89 +237,9 @@ void BinaryTraceWriter::close() {
 // Memory-mapped reader
 // ---------------------------------------------------------------------------
 
-MappedTrace::MappedTrace(const std::string& path) : path_(path) {
-#if defined(TSVCOD_HAVE_MMAP)
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) fail(path, std::string("cannot open: ") + std::strerror(errno));
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    fail(path, std::string("fstat failed: ") + std::strerror(err));
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ > 0) {
-    void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      const int err = errno;
-      ::close(fd);
-      fail(path, std::string("mmap failed: ") + std::strerror(err));
-    }
-    map_ = map;
-#if defined(POSIX_MADV_SEQUENTIAL)
-    ::posix_madvise(map_, size_, POSIX_MADV_SEQUENTIAL);
-#endif
-  }
-  ::close(fd);  // the mapping outlives the descriptor
-  try {
-    view_ = parse_binary_trace(
-        std::span<const std::byte>(static_cast<const std::byte*>(map_), size_), path_);
-  } catch (...) {
-    unmap();
-    throw;
-  }
-#else
-  // No mmap on this platform: read into an 8-byte-aligned buffer instead
-  // (same validation, one copy).
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail(path, "cannot open");
-  is.seekg(0, std::ios::end);
-  size_ = static_cast<std::size_t>(is.tellg());
-  is.seekg(0);
-  fallback_.resize((size_ + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t));
-  is.read(reinterpret_cast<char*>(fallback_.data()), static_cast<std::streamsize>(size_));
-  if (is.gcount() != static_cast<std::streamsize>(size_)) fail(path, "short read");
-  view_ = parse_binary_trace(
-      std::span<const std::byte>(reinterpret_cast<const std::byte*>(fallback_.data()), size_),
-      path_);
-#endif
-}
-
-MappedTrace::~MappedTrace() { unmap(); }
-
-MappedTrace::MappedTrace(MappedTrace&& other) noexcept
-    : path_(std::move(other.path_)),
-      map_(other.map_),
-      size_(other.size_),
-      fallback_(std::move(other.fallback_)),
-      view_(other.view_) {
-  other.map_ = nullptr;
-  other.size_ = 0;
-  other.view_ = {};
-}
-
-MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    path_ = std::move(other.path_);
-    map_ = other.map_;
-    size_ = other.size_;
-    fallback_ = std::move(other.fallback_);
-    view_ = other.view_;
-    other.map_ = nullptr;
-    other.size_ = 0;
-    other.view_ = {};
-  }
-  return *this;
-}
-
-void MappedTrace::unmap() noexcept {
-#if defined(TSVCOD_HAVE_MMAP)
-  if (map_ != nullptr) {
-    ::munmap(map_, size_);
-    map_ = nullptr;
-  }
-#endif
-}
+MappedTrace::MappedTrace(const std::string& path)
+    : path_(path),
+      file_(path, "binary_trace"),
+      view_(parse_binary_trace(file_.bytes(), path_)) {}
 
 }  // namespace tsvcod::streams

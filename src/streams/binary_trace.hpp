@@ -42,6 +42,8 @@
 #include <string>
 #include <vector>
 
+#include "streams/mapped_file.hpp"
+
 namespace tsvcod::streams {
 
 inline constexpr std::array<unsigned char, 8> kBinaryTraceMagic = {'t',  's',  'v',  'b',
@@ -118,29 +120,21 @@ class BinaryTraceWriter {
 
 /// Read-only memory map of a .tsvb file, parsed and validated on open. On
 /// POSIX the words() span aliases the mapped pages (zero-copy, advised for
-/// sequential access); elsewhere the file is read into an aligned buffer.
+/// sequential access); elsewhere the file is read into an aligned buffer
+/// (see MappedFile).
 class MappedTrace {
  public:
   explicit MappedTrace(const std::string& path);
-  ~MappedTrace();
-  MappedTrace(MappedTrace&& other) noexcept;
-  MappedTrace& operator=(MappedTrace&& other) noexcept;
-  MappedTrace(const MappedTrace&) = delete;
-  MappedTrace& operator=(const MappedTrace&) = delete;
 
   const BinaryTraceHeader& header() const { return view_.header; }
   std::span<const std::uint64_t> words() const { return view_.words; }
   /// Total file size in bytes (header + payload).
-  std::size_t bytes() const { return size_; }
+  std::size_t bytes() const { return file_.bytes().size(); }
   const std::string& path() const { return path_; }
 
  private:
-  void unmap() noexcept;
-
   std::string path_;
-  void* map_ = nullptr;  ///< non-null iff mmap-backed
-  std::size_t size_ = 0;
-  std::vector<std::uint64_t> fallback_;  ///< aligned copy when not mmap-backed
+  MappedFile file_;     ///< moves keep its bytes in place, so view_ stays valid
   BinaryTraceView view_;
 };
 

@@ -1,55 +1,101 @@
 #include "streams/trace_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "obs/obs.hpp"
+#include "obs/profile.hpp"
+#include "streams/mapped_file.hpp"
 
 namespace tsvcod::streams {
 
-std::vector<std::uint64_t> parse_trace(std::istream& is, const std::string& source) {
+namespace {
+
+bool is_trim(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// `digits` as a whole unsigned decimal number. std::from_chars takes no
+/// sign or leading whitespace, so either fails the parse.
+bool parse_whole(std::string_view digits, std::uint64_t& out) {
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+[[noreturn]] void bad_token(const std::string& source, std::size_t lineno, std::size_t offset,
+                            std::string_view tok) {
+  throw std::runtime_error("trace_io: bad word in " + source + " at line " +
+                           std::to_string(lineno) + " (byte offset " + std::to_string(offset) +
+                           "): '" + std::string(tok) + "'");
+}
+
+/// The one text-trace parser: a pointer scan over the whole file. `seen`
+/// collects the OR of every word.
+std::vector<std::uint64_t> parse_text(std::string_view text, const std::string& source,
+                                      std::uint64_t& seen) {
+  obs::Span span("streams.parse");
   std::vector<std::uint64_t> words;
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t line_offset = 0;  // byte offset of the current line's start
   std::optional<std::uint64_t> declared;
-  // Line endings: the token trim strips a CR, so CRLF files parse exactly
-  // like LF files, and getline delivers a final line without a trailing
-  // newline like any other — both covered by regression tests in test_io.
-  while (std::getline(is, line)) {
+  const char* const begin = text.data();
+  const char* const end = begin + text.size();
+  std::size_t lineno = 0;
+  for (const char* line = begin; line < end;) {
     ++lineno;
-    const std::size_t this_offset = line_offset;
-    line_offset += line.size() + 1;  // getline consumed the '\n' too
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    const std::string tok = line.substr(pos, line.find_last_not_of(" \t\r") - pos + 1);
-    try {
-      // Optional "words <N>" count directive (save_trace emits one): lets
-      // the parser reject a truncated or padded file instead of silently
-      // folding a short read into statistics.
-      if (tok.rfind("words", 0) == 0 && (tok.size() == 5 || tok[5] == ' ' || tok[5] == '\t')) {
-        if (declared) throw std::invalid_argument("duplicate words directive");
-        const auto vpos = tok.find_first_not_of(" \t", 5);
-        if (vpos == std::string::npos) throw std::invalid_argument("words directive needs a count");
-        const std::string count = tok.substr(vpos);
-        if (count[0] == '-' || count[0] == '+') throw std::invalid_argument("signed count");
-        std::size_t used = 0;
-        declared = std::stoull(count, &used, 10);
-        if (used != count.size()) throw std::invalid_argument("trailing characters");
+    const char* first = line;
+    while (first < end && is_trim(*first)) ++first;
+
+    // The common line, one word and then only trim characters: from_chars
+    // finds the token's end itself, so the line is read once. A token that
+    // fails here fails as a whole token too (from_chars stops at the first
+    // non-digit), so everything else is a blank line, a comment, the
+    // directive or an error.
+    if (first < end && *first >= '0' && *first <= '9') {
+      const bool hex = end - first > 1 && first[0] == '0' && (first[1] == 'x' || first[1] == 'X');
+      std::uint64_t value = 0;
+      const auto [stop, ec] = std::from_chars(first + (hex ? 2 : 0), end, value, hex ? 16 : 10);
+      const char* rest = stop;
+      while (rest < end && is_trim(*rest)) ++rest;
+      if (ec == std::errc{} && (rest == end || *rest == '\n')) {
+        words.push_back(value);
+        seen |= value;
+        line = rest == end ? end : rest + 1;
         continue;
       }
-      // std::stoull silently accepts a sign and wraps "-1" to 2^64-1; words
-      // are unsigned line patterns, so any signed token is malformed.
-      if (tok[0] == '-' || tok[0] == '+') throw std::invalid_argument("signed word");
-      std::size_t used = 0;
-      const int base = tok.rfind("0x", 0) == 0 || tok.rfind("0X", 0) == 0 ? 16 : 10;
-      const std::uint64_t v = std::stoull(tok, &used, base);
-      if (used != tok.size()) throw std::invalid_argument("trailing characters");
-      words.push_back(v);
-    } catch (const std::exception&) {
-      throw std::runtime_error("trace_io: bad word in " + source + " at line " +
-                               std::to_string(lineno) + " (byte offset " +
-                               std::to_string(this_offset + pos) + "): '" + tok + "'");
+    }
+
+    const auto offset = static_cast<std::size_t>(first - begin);
+    const std::size_t nl = text.find('\n', offset);
+    const char* eol = nl == std::string_view::npos ? end : begin + nl;
+    const char* last = eol;
+    while (last > first && is_trim(last[-1])) --last;
+    line = eol == end ? end : eol + 1;
+    // A final line without a trailing newline ends at `end` like any other;
+    // trimming the CR of a CRLF ending makes CRLF files parse exactly like LF.
+    if (first == last || *first == '#') continue;
+    const std::string_view tok(first, static_cast<std::size_t>(last - first));
+
+    // Optional "words <N>" count directive (save_trace emits one): lets the
+    // parser reject a truncated or padded file instead of silently folding
+    // a short read into statistics.
+    if (!tok.starts_with("words") || (tok.size() > 5 && tok[5] != ' ' && tok[5] != '\t')) {
+      bad_token(source, lineno, offset, tok);
+    }
+    const auto vpos = tok.find_first_not_of(" \t", 5);
+    std::uint64_t count = 0;
+    if (declared || vpos == std::string_view::npos || !parse_whole(tok.substr(vpos), count)) {
+      bad_token(source, lineno, offset, tok);
+    }
+    declared = count;
+    // Size the output once when the count comes first, but never beyond
+    // what the remaining bytes could hold (every word but the last takes
+    // at least two bytes), so a hostile count cannot allocate.
+    if (words.empty()) {
+      const auto remaining = static_cast<std::uint64_t>(end - line);
+      words.reserve(static_cast<std::size_t>(std::min(count, (remaining + 1) / 2)));
     }
   }
   if (declared && *declared != words.size()) {
@@ -57,13 +103,29 @@ std::vector<std::uint64_t> parse_trace(std::istream& is, const std::string& sour
                              std::to_string(*declared) + " disagrees with the actual " +
                              std::to_string(words.size()) + " words (truncated or padded file)");
   }
+  obs::profile_work("words", words.size());
+  obs::profile_work("bytes", text.size());
   return words;
 }
 
+}  // namespace
+
+std::vector<std::uint64_t> parse_trace(std::istream& is, const std::string& source) {
+  std::ostringstream text;
+  text << is.rdbuf();
+  std::uint64_t seen = 0;
+  return parse_text(text.view(), source, seen);
+}
+
+std::vector<std::uint64_t> load_trace(const std::string& path, std::uint64_t& bits_seen) {
+  const MappedFile file(path, "trace_io");
+  bits_seen = 0;
+  return parse_text(file.text(), path, bits_seen);
+}
+
 std::vector<std::uint64_t> load_trace(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("trace_io: cannot open: " + path);
-  return parse_trace(is, path);
+  std::uint64_t seen = 0;
+  return load_trace(path, seen);
 }
 
 void save_trace(std::ostream& os, std::span<const std::uint64_t> words) {

@@ -30,9 +30,8 @@ std::unique_ptr<WordSource> open_word_source(const std::string& path, std::size_
     }
     return source;
   }
-  auto words = load_trace(path);
   std::uint64_t seen = 0;
-  for (const auto w : words) seen |= w;
+  auto words = load_trace(path, seen);
   const std::size_t widest = std::max<std::size_t>(1, std::bit_width(seen));
   if (width == 0) {
     width = widest;

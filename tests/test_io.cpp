@@ -9,6 +9,10 @@
 #include "streams/trace_io.hpp"
 #include "tsv/model_io.hpp"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 namespace {
 
 using namespace tsvcod;
@@ -234,6 +238,54 @@ TEST(TraceIo, SaveEmitsWordsDirective) {
   EXPECT_NE(ss.str().find("words 3\n"), std::string::npos);
   EXPECT_EQ(streams::parse_trace(ss), (std::vector<std::uint64_t>{1, 2, 3}));
 }
+
+TEST(TraceIo, RejectsControlWhitespaceInTokens) {
+  // Only space, tab and CR are trimmed. Other control whitespace inside a
+  // token is malformed, in a word and in the directive's count alike.
+  for (const char* text : {"\v5\n", "\f0x10\n", "5\v\n", "words \v2\n1\n2\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(streams::parse_trace(ss), std::runtime_error) << '"' << text << '"';
+  }
+  std::stringstream trimmed(" \t5\t \r\n");
+  EXPECT_EQ(streams::parse_trace(trimmed), (std::vector<std::uint64_t>{5}));
+}
+
+TEST(TraceIo, HugeWordsDirectiveIsACountMismatch) {
+  // The declared count may size the output, but only as far as the file's
+  // remaining bytes could hold: a hostile count is a count mismatch, never
+  // an allocation failure (bad_alloc / length_error).
+  std::stringstream ss("words 18446744073709551615\n1\n");
+  try {
+    streams::parse_trace(ss, "huge.txt");
+    FAIL() << "expected count mismatch";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("huge.txt: declared word count 18446744073709551615"), std::string::npos)
+        << msg;
+  } catch (const std::exception& e) {
+    FAIL() << "leaked a non-runtime_error exception: " << e.what();
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST(TraceIo, LoadsAPipeToEof) {
+  // A pipe has no size to map, so load_trace reads it to EOF instead. The
+  // ~45 KB text outgrows the first 32 KiB read buffer yet fits the pipe's
+  // 64 KiB, so it is written in full before the load starts.
+  std::vector<std::uint64_t> words(5000);
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = (i * 2654435761u) & 0xFFFFFFu;
+  std::ostringstream os;
+  streams::save_trace(os, words);
+  const std::string text = os.str();
+  ASSERT_GT(text.size(), 32768u);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], text.data(), text.size()), static_cast<ssize_t>(text.size()));
+  ::close(fds[1]);
+  EXPECT_EQ(streams::load_trace("/dev/fd/" + std::to_string(fds[0])), words);
+  ::close(fds[0]);
+}
+#endif
 
 TEST(AssignmentIo, GridRendering) {
   const auto geom = phys::TsvArrayGeometry::itrs2018_min(2, 2);

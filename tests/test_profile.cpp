@@ -25,6 +25,7 @@
 #include "obs/snapshot.hpp"
 #include "opt/parallel.hpp"
 #include "streams/random_streams.hpp"
+#include "streams/trace_io.hpp"
 #include "tsv/analytic_model.hpp"
 
 namespace {
@@ -195,6 +196,36 @@ TEST_F(ProfileTest, CircuitSimulateSpanCountsCycles) {
   ASSERT_NE(sim, nullptr);
   EXPECT_EQ(sim->find("count")->number, 2.0);
   EXPECT_EQ(sim->find("work")->find("cycles")->number, 106.0);
+}
+
+TEST_F(ProfileTest, StreamsParseSpanCountsWords) {
+  // A profiled text ingest yields words/s and bytes/s on its own: the
+  // `streams.parse` span's wall time and its `words` / `bytes` counters. A
+  // file load also opens a `streams.open` span with the file's byte count.
+  const std::string text = "# t\nwords 3\n0x1\n2\n0X3\n";
+  const double bytes = static_cast<double>(text.size());
+  const std::string path = ::testing::TempDir() + "tsvcod_profile_parse.txt";
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+  obs::enable_profiling(true);
+  std::istringstream is(text);
+  EXPECT_EQ(streams::parse_trace(is).size(), 3u);
+  EXPECT_EQ(streams::load_trace(path).size(), 3u);
+  obs::enable_profiling(false);
+  std::remove(path.c_str());
+
+  const json::Value doc = json::parse(obs::profile_to_json(obs::ProfileFields::deterministic));
+  const json::Value* parse = child_named(*doc.find("roots"), "streams.parse");
+  ASSERT_NE(parse, nullptr);
+  EXPECT_EQ(parse->find("count")->number, 2.0);
+  EXPECT_EQ(parse->find("work")->find("words")->number, 6.0);
+  EXPECT_EQ(parse->find("work")->find("bytes")->number, 2 * bytes);
+  const json::Value* open = child_named(*doc.find("roots"), "streams.open");
+  ASSERT_NE(open, nullptr);
+  EXPECT_EQ(open->find("count")->number, 1.0);
+  EXPECT_EQ(open->find("work")->find("bytes")->number, bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -238,15 +239,18 @@ TEST(Session, HotSwapUnderConcurrentIngestNeverDesyncs) {
 
   constexpr int kIngestThreads = 4;
   constexpr std::uint64_t kMinWordsPerThread = 20000;
-  constexpr std::uint64_t kMaxWordsPerThread = 50 * kMinWordsPerThread;
   constexpr std::uint64_t kSwaps = 200;
+  // A wall-clock bound, not a word cap: on a loaded host the yielding
+  // swapper may go unscheduled while the producers race through any fixed
+  // word budget. It lands its swaps in well under a second when it runs.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::atomic<std::uint64_t> sent{0};
   std::atomic<int> ingesting{kIngestThreads};
   std::atomic<bool> swapper_done{false};
   std::atomic<bool> go{false};
 
   // Each thread sends its minimum in blocks of 1..64 words, then keeps going
-  // (up to a cap) until the swapper has landed its swaps.
+  // (up to the deadline) until the swapper has landed its swaps.
   std::vector<std::thread> producers;
   for (int t = 0; t < kIngestThreads; ++t) {
     producers.emplace_back([&, t] {
@@ -254,7 +258,8 @@ TEST(Session, HotSwapUnderConcurrentIngestNeverDesyncs) {
       std::vector<std::uint64_t> block(64);
       while (!go.load()) {}
       std::uint64_t k = 0;
-      while (k < kMaxWordsPerThread && (k < kMinWordsPerThread || !swapper_done.load())) {
+      while (k < kMinWordsPerThread ||
+             (!swapper_done.load() && std::chrono::steady_clock::now() < deadline)) {
         const std::size_t n = 1 + rng() % 64;
         for (std::size_t i = 0; i < n; ++i) block[i] = rng() & 0xFFu;
         session.ingest(std::span(block).first(n));
